@@ -47,8 +47,18 @@ def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+def _int_at_least(lo):
+    def parse(text):
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {lo}, got {value}")
+        return value
+    parse.__name__ = "int"
+    return parse
+
+
 def _parse_window(obj):
-    if not isinstance(obj, list):
+    if not isinstance(obj, list) or any(isinstance(x, bool) for x in obj):
         raise ValueError("expected a JSON array of nonzero integers")
     return check_window(obj)
 
@@ -197,20 +207,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("triangle", help="recurrence-defined arrays")
     p.add_argument("--kind", required=True,
                    choices=["entringer", "arnold", "arnold-poly", "gamma"])
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(fn=_triangle)
 
     p = sub.add_parser("family", help="enumerate a signed-permutation family")
     p.add_argument("--name", required=True, choices=sorted(FAMILY_TAGS))
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--anchor", choices=["first", "last", "gae"])
     p.add_argument("--value", type=int)
     p.set_defaults(fn=_family)
 
     p = sub.add_parser("poly", help="derivative polynomials")
     p.add_argument("--which", required=True, choices=["P", "Q", "R"])
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(0), required=True)
     p.add_argument("--q", action="store_true", help="emit the q-analogue")
     p.set_defaults(fn=_poly)
 

@@ -16,7 +16,8 @@ import os
 
 from .errors import LimitError, MembershipError
 from .trees import (EMPTY, emp, inorder_word, is_empty, is_leaf, is_starred,
-                    node_from_json, tree_to_json, validate_tree, word_sort_key)
+                    label_from_json, node_from_json, tree_to_json, validate_tree,
+                    word_sort_key)
 
 BLACK = "black"
 WHITE = "white"
@@ -211,10 +212,14 @@ def forest_to_json(forest) -> dict:
 
 
 def forest_from_json(obj) -> tuple:
+    if not isinstance(obj, dict) or not isinstance(obj.get("components"), list):
+        raise ValueError('expected a forest {"components": [...]}')
     comps = []
     for c in obj["components"]:
+        if not isinstance(c, dict) or not {"color", "root", "child"} <= c.keys():
+            raise ValueError(f"bad forest component {c!r}")
         child = c["child"]
-        comps.append((c["color"], int(c["root"]),
+        comps.append((c["color"], label_from_json(c["root"]),
                       EMPTY if child == "empty" else node_from_json(child)))
     forest = tuple(sorted(comps, key=lambda c: c[1]))
     validate_forest(forest)

@@ -330,79 +330,83 @@ def all_windows(n: int, *, max_n=None):
 
 def _gen_positional(n, unsigned: bool):
     # alternation is a prefix property, so prune position by position
-    out = []
-
-    def extend(prefix, used):
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        i = len(prefix)
-        values = range(1, n + 1) if unsigned else range(-n, n + 1)
-        for v in values:
-            if v == 0 or abs(v) in used:
-                continue
-            if i >= 1:
-                if i % 2 == 1 and not prefix[-1] > v:
-                    continue
-                if i % 2 == 0 and not prefix[-1] < v:
-                    continue
-            prefix.append(v)
-            used.add(abs(v))
-            extend(prefix, used)
-            used.discard(abs(v))
-            prefix.pop()
-
-    extend([], set())
-    return out
+    values = range(1, n + 1) if unsigned else [v for v in range(-n, n + 1) if v]
+    words = [()]
+    for i in range(n):
+        words = [w + (v,) for w in words for v in values
+                 if v not in w and -v not in w
+                 and (i == 0 or (w[-1] > v if i % 2 else w[-1] < v))]
+    return words
 
 
-def _gen_by_insertion(n, *, signed_dd: bool, need_ascent: bool, force_positive: bool,
-                      force_plus_one: bool):
+def _gen_by_insertion(n, *, signed_dd: bool, need_ascent: bool, force_positive: bool = False,
+                      force_plus_one: bool = False, positive_at=None):
     """Grow windows by inserting values 1..n into the restriction chain.
 
     Every window is reached exactly once (the chain of restrictions is
     unique), and the level-k restriction is final once built, so the
     no-double-descent and ends-with-ascent requirements prune exactly.
+    A value is a left-to-right (right-to-left) minimum of |w| exactly when
+    it was inserted at the front (end), so ``positive_at`` = "front"
+    ("end") signing those insertions positive is the ``-b`` sign rule.
     """
-    words = []
-    for s in ((1,), (-1,)):
-        if (force_positive or force_plus_one) and s[0] < 0:
-            continue
-        words.append(s)
-    for v in range(2, n + 1):
+    words = [()]
+    for v in range(1, n + 1):
         nxt = []
-        signs = (v,) if force_positive else (v, -v)
         for word in words:
+            m = len(word)
             view = word if signed_dd else tuple(abs(x) for x in word)
-            for pos in range(len(word) + 1):
-                for sv in signs:
-                    # double-descent check is local to the insertion point
-                    if _insertion_ok(view, pos, sv if signed_dd else abs(sv),
-                                     need_ascent):
-                        nxt.append(word[:pos] + (sv,) + word[pos:])
+            pinned = {"front": 0, "end": m}.get(positive_at)
+            for pos in range(m + 1):
+                # The new entry is the view's largest (+v, or -v read unsigned)
+                # or smallest (-v, signed).  A new double descent needs a descent
+                # right after the largest or right before the smallest; a word
+                # ending in an ascent ends in a descent only with the largest
+                # second to last or the smallest last.
+                big_ok = not (pos < m - 1 and view[pos] > view[pos + 1]
+                              or need_ascent and pos == m - 1)
+                small_ok = not (pos >= 2 and view[pos - 2] > view[pos - 1]
+                                or need_ascent and 0 < pos == m) if signed_dd else big_ok
+                if big_ok:
+                    nxt.append(word[:pos] + (v,) + word[pos:])
+                if small_ok and not (force_positive or pos == pinned or (v == 1 and force_plus_one)):
+                    nxt.append(word[:pos] + (-v,) + word[pos:])
         words = nxt
     return words
 
 
-def _insertion_ok(view, pos, val, need_ascent) -> bool:
-    new = view[:pos] + (val,) + view[pos:]
-    lo = max(0, pos - 2)
-    hi = min(len(new), pos + 3)
-    if any(new[i] > new[i + 1] > new[i + 2] for i in range(lo, hi - 2)):
-        return False
-    if need_ascent and len(new) >= 2 and not new[-2] < new[-1]:
-        return False
-    return True
-
-
 _INSERTION_FAMILIES = {
-    "rsi": dict(signed_dd=False, need_ascent=False, force_positive=False, force_plus_one=False),
-    "rsii": dict(signed_dd=True, need_ascent=False, force_positive=False, force_plus_one=False),
-    "adi": dict(signed_dd=False, need_ascent=True, force_positive=False, force_plus_one=True),
-    "adii": dict(signed_dd=True, need_ascent=True, force_positive=False, force_plus_one=True),
-    "simsun-unsigned": dict(signed_dd=False, need_ascent=False, force_positive=True, force_plus_one=False),
-    "andre-unsigned": dict(signed_dd=False, need_ascent=True, force_positive=True, force_plus_one=False),
+    "rsi": dict(signed_dd=False, need_ascent=False),
+    "rsi-b": dict(signed_dd=False, need_ascent=False, positive_at="end"),
+    "rsii": dict(signed_dd=True, need_ascent=False),
+    "rsii-b": dict(signed_dd=True, need_ascent=False, positive_at="front"),
+    "adi": dict(signed_dd=False, need_ascent=True, force_plus_one=True),
+    "adi-b": dict(signed_dd=False, need_ascent=True, force_plus_one=True, positive_at="end"),
+    "adii": dict(signed_dd=True, need_ascent=True, force_plus_one=True),
+    "adii-b": dict(signed_dd=True, need_ascent=True, force_plus_one=True, positive_at="front"),
+    "simsun-unsigned": dict(signed_dd=False, need_ascent=False, force_positive=True),
+    "andre-unsigned": dict(signed_dd=False, need_ascent=True, force_positive=True),
 }
+
+# -d refinement -> (-b family, expand map, bound): expand(u, k) over the
+# size-(n-1) -b members u and bound(u) < k <= n is the -d family, once each;
+# bound(u) is the entry (rsii-d: the gae) that the new entry -k must outweigh.
+_D_REFINEMENTS = {
+    "rsi-d": ("rsi-b", expand_last_entry, lambda u: u[-1]),
+    "adi-d": ("adi-b", expand_last_entry, lambda u: u[-1]),
+    "rsii-d": ("rsii-b", expand_first_entry, _gae_or_zero),
+    "adii-d": ("adii-b", expand_first_entry, lambda u: u[-1]),
+}
+
+
+def _gen_d_refinement(family, n):
+    if n == 1:
+        # (-1,) is the only candidate; the Andre families need the entry +1
+        return [(-1,)] if family in ("rsi-d", "rsii-d") else []
+    b_family, expand, bound = _D_REFINEMENTS[family]
+    return [expand(u, k)
+            for u in _gen_by_insertion(n - 1, **_INSERTION_FAMILIES[b_family])
+            for k in range(bound(u) + 1, n + 1)]
 
 
 def enumerate_family(family: str, n: int, constraint=None, *, max_n=None):
@@ -420,25 +424,18 @@ def enumerate_family(family: str, n: int, constraint=None, *, max_n=None):
     if n > ceiling:
         raise LimitError(f"family {family!r} enumeration", n, ceiling)
 
-    if family in ("snakes", "gamma-snakes"):
-        raw = _gen_positional(n, unsigned=False)
-    elif family == "alternating-unsigned":
-        raw = _gen_positional(n, unsigned=True)
+    if family in ("snakes", "gamma-snakes", "alternating-unsigned"):
+        members = _gen_positional(n, unsigned=family == "alternating-unsigned")
+        if family == "gamma-snakes":
+            members = [w for w in members if (-1) ** n * w[-1] < 0]
+    elif family in _D_REFINEMENTS:
+        members = _gen_d_refinement(family, n)
     else:
-        base = family.split("-")[0] if family in (
-            "rsi-b", "rsi-d", "rsii-b", "rsii-d", "adi-b", "adi-d",
-            "adii-b", "adii-d") else family
-        raw = _gen_by_insertion(n, **_INSERTION_FAMILIES[base])
-
-    members = [w for w in raw if is_member(w, family)]
+        members = _gen_by_insertion(n, **_INSERTION_FAMILIES[family])
     if constraint is not None:
         anchor, value = constraint
-        if anchor == "first":
-            members = [w for w in members if w[0] == value]
-        elif anchor == "last":
-            members = [w for w in members if w[-1] == value]
-        elif anchor == "gae":
-            members = [w for w in members if _gae_or_zero(w) == value]
-        else:
+        key = {"first": lambda w: w[0], "last": lambda w: w[-1], "gae": _gae_or_zero}.get(anchor)
+        if key is None:
             raise ValueError(f"unknown anchor {anchor!r}")
+        members = [w for w in members if key(w) == value]
     return sorted(members)

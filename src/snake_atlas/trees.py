@@ -466,21 +466,28 @@ def tree_to_word_json(tree) -> list:
     return list(inorder_word(tree))
 
 
+def label_from_json(x) -> int:
+    try:
+        return int(x)
+    except TypeError:
+        raise ValueError(f"bad label {x!r}") from None
+
+
 def node_from_json(o):
     """Build a node from the nested JSON form without label validation."""
     if o == "empty":
         return EMPTY
-    if not isinstance(o, dict):
+    if isinstance(o, dict) and "leaf" in o:
+        return (label_from_json(o["leaf"]),)
+    if not isinstance(o, dict) or not {"label", "left", "right"} <= o.keys():
         raise ValueError(f"bad tree node {o!r}")
-    if "leaf" in o:
-        return (int(o["leaf"]),)
-    return (int(o["label"]), node_from_json(o["left"]), node_from_json(o["right"]))
+    return (label_from_json(o["label"]), node_from_json(o["left"]), node_from_json(o["right"]))
 
 
 def tree_from_json(obj):
     """Accept the nested form or the inorder-word array form."""
     if isinstance(obj, list):
-        return tree_from_word(tuple(x if x == EMPTY else int(x) for x in obj))
+        return tree_from_word(tuple(x if x == EMPTY else label_from_json(x) for x in obj))
     tree = node_from_json(obj)
     validate_tree(tree)
     return tree

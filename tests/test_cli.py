@@ -103,3 +103,38 @@ def test_output_is_byte_stable(capsys):
     a = run(capsys, "family", "--name", "rsii-b", "--n", "3")
     b = run(capsys, "family", "--name", "rsii-b", "--n", "3")
     assert a == b
+
+
+def test_booleans_are_not_window_entries(capsys):
+    code, out, err = run(capsys, "bijection", "--name", "zeta2", "--direction",
+                         "inverse", "--input", "[true]")
+    assert code == 4 and out == ""
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("--name", "phi1", "--direction", "inverse", "--input", '{"x":1}'),
+    ("--name", "mu", "--direction", "inverse", "--input", "[1,2]"),
+    ("--name", "gamma", "--input", '{"label":1}'),
+])
+def test_malformed_tree_and_forest_json_exit_4(capsys, argv):
+    code, out, err = run(capsys, "bijection", *argv)
+    assert code == 4 and out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("family", "--name", "snakes", "--n", "0"),
+    ("triangle", "--kind", "arnold", "--n", "0"),
+    ("poly", "--which", "P", "--n", "-1"),
+])
+def test_out_of_range_sizes_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, *argv)
+    assert exc.value.code == 2
+
+
+def test_poly_n0_stays_valid(capsys):
+    code, out, _ = run(capsys, "poly", "--which", "P", "--n", "0")
+    assert code == 0
+    assert json.loads(out) == {"min_exp": 1, "coeffs": [1]}
