@@ -58,7 +58,7 @@ def _int_at_least(lo):
 
 
 def _parse_window(obj):
-    if not isinstance(obj, list) or any(isinstance(x, bool) for x in obj):
+    if not isinstance(obj, list) or any(type(x) is not int for x in obj):
         raise ValueError("expected a JSON array of nonzero integers")
     return check_window(obj)
 
@@ -194,6 +194,8 @@ def _verify(args) -> int:
     else:
         reports = [run_check(args.check, args.n_max)]
     _emit([r.to_json() for r in reports])
+    if any(r.status == "error" for r in reports):
+        return EXIT_CEILING
     return 0 if all(r.status == "pass" for r in reports) else EXIT_VERIFY_FAIL
 
 

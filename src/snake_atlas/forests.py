@@ -13,11 +13,12 @@ all-white forests, with the path nodes as roots (``tree_to_forest``).
 from __future__ import annotations
 
 import os
+from operator import itemgetter
 
 from .errors import LimitError, MembershipError
-from .trees import (EMPTY, emp, inorder_word, is_empty, is_leaf, is_starred,
-                    label_from_json, node_from_json, tree_to_json, validate_tree,
-                    word_sort_key)
+from .trees import (EMPTY, _keyed_trees, _labels, emp, inorder_word, is_empty,
+                    is_leaf, is_starred, label_from_json, node_from_json,
+                    tree_to_json, validate_tree, word_sort_key)
 
 BLACK = "black"
 WHITE = "white"
@@ -38,7 +39,7 @@ def validate_forest(forest) -> int:
         if not is_empty(child):
             if child[0] <= root:
                 raise ValueError("labels must increase below the root")
-            labels.extend(_subtree_labels(child))
+            labels.extend(_labels(child))
     if roots != sorted(roots):
         raise ValueError("components must be sorted by root label")
     n = len(labels)
@@ -50,13 +51,6 @@ def validate_forest(forest) -> int:
     return n
 
 
-def _subtree_labels(node) -> list[int]:
-    if is_leaf(node):
-        return [node[0]]
-    return ([node[0]] + ([] if is_empty(node[1]) else _subtree_labels(node[1]))
-            + ([] if is_empty(node[2]) else _subtree_labels(node[2])))
-
-
 def _check_shape(node):
     if is_leaf(node):
         return
@@ -65,11 +59,6 @@ def _check_shape(node):
             if c[0] <= node[0]:
                 raise ValueError("labels must increase downward")
             _check_shape(c)
-
-
-def forest_size(forest) -> int:
-    return sum(1 + (0 if is_empty(c) else len(_subtree_labels(c)))
-               for _, _, c in forest)
 
 
 def emp_forest(forest) -> int:
@@ -112,64 +101,58 @@ def _ceiling(max_n) -> int:
     return int(env) if env else DEFAULT_FOREST_CEILING
 
 
-def _partitions(values):
-    """Set partitions of the value list; each block keeps sorted order."""
-    if not values:
-        yield []
-        return
-    first, rest = values[0], values[1:]
-    for part in _partitions(rest):
-        yield [[first]] + part
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1:]
-
-
 def enumerate_forests(n: int, *, white_only: bool = False,
                       last: int | None = None, max_n=None) -> list:
     """All forests on 1..n (optionally all-white, optionally with a
-    prescribed last-component root), canonically ordered."""
-    from .trees import _trees_over
+    prescribed last-component root), canonically ordered.
 
+    The first component of a forest is rooted at its smallest label, and
+    once that component is chosen the labels of the others are fixed.  So
+    the forests over a label tuple, in order, are the sorted choices for
+    the first component, each followed by every forest over the labels it
+    leaves, and no global sort is needed."""
     if n < 1:
         raise ValueError("n must be >= 1")
     ceiling = _ceiling(max_n)
     if n > ceiling:
         raise LimitError("forest enumeration", n, ceiling)
-    out = []
     colors = (WHITE,) if white_only else (BLACK, WHITE)
+    trees = {}
+    memo = {(): [()]}
 
-    def color_and_emit(blocks, idx, comps):
-        if idx == len(blocks):
-            forest = tuple(sorted(comps, key=lambda c: c[1]))
-            if last is None or forest[-1][1] == last:
-                out.append(forest)
-            return
-        root, child = blocks[idx]
-        for color in colors:
-            comps.append((color, root, child))
-            color_and_emit(blocks, idx + 1, comps)
-            comps.pop()
+    def forests_over(labels):
+        found = memo.get(labels)
+        if found is not None:
+            return found
+        root, rest = labels[0], labels[1:]
+        m = len(rest)
+        choices = []  # (component key, component, labels left for the rest)
+        for mask in range(1 << m):
+            below = tuple(rest[i] for i in range(m) if mask >> i & 1)
+            left = tuple(rest[i] for i in range(m) if not mask >> i & 1)
+            for key, child in _keyed_trees(below, trees):
+                for color in colors:
+                    choices.append(((root, color == WHITE) + key,
+                                    (color, root, child), left))
+        choices.sort(key=itemgetter(0))
+        out = memo[labels] = [(comp,) + sub for _, comp, left in choices
+                              for sub in forests_over(left)]
+        return out
 
-    for part in _partitions(list(range(1, n + 1))):
-        shaped = []
-        for block in part:
-            root, rest = block[0], tuple(block[1:])
-            shaped.append([(root, t) for t in _trees_over(rest)])
-        def expand(i, blocks):
-            if i == len(shaped):
-                color_and_emit(blocks, 0, [])
-                return
-            for rc in shaped[i]:
-                expand(i + 1, blocks + [rc])
-        expand(0, [])
-    out.sort(key=forest_sort_key)
+    out = forests_over(tuple(range(1, n + 1)))
+    if last is not None:
+        out = [f for f in out if f[-1][1] == last]
     return out
 
 
-def forest_sort_key(forest) -> tuple:
-    return tuple((root, color == WHITE) + word_sort_key(
+def _component_key(comp) -> tuple:
+    color, root, child = comp
+    return (root, color == WHITE) + word_sort_key(
         (EMPTY,) if is_empty(child) else inorder_word(child))
-        for color, root, child in forest)
+
+
+def forest_sort_key(forest) -> tuple:
+    return tuple(map(_component_key, forest))
 
 
 # -- rightmost-path cut and its inverse ----------------------------------

@@ -19,12 +19,14 @@ leaves read before it (black roots add one more).
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
 from .forests import BLACK, emp_forest, enumerate_forests
 from .polynomials import LaurentPoly
-from .trees import EMPTY, emp, enumerate_trees, is_empty, is_leaf, validate_tree
+from .trees import (EMPTY, _labels, emp, enumerate_trees, is_empty, is_leaf,
+                    validate_tree)
 
 
 @dataclass(frozen=True)
@@ -257,7 +259,7 @@ def forest_step_weights(forest) -> tuple[int, ...]:
     root order, roots read before their subtrees), plus one when j is a
     black root."""
     comps = list(forest)
-    n = sum(1 if is_empty(c) else len(_subtree(c)) + 1 for _, _, c in comps)
+    n = sum(1 + len(_labels(c)) for _, _, c in comps)
     out = [0] * (n + 1)
     for j in range(n, 0, -1):
         order = []
@@ -276,14 +278,6 @@ def forest_step_weights(forest) -> tuple[int, ...]:
     return tuple(out[1:])
 
 
-def _subtree(node) -> list[int]:
-    if is_empty(node):
-        return []
-    if is_leaf(node):
-        return [node[0]]
-    return [node[0]] + _subtree(node[1]) + _subtree(node[2])
-
-
 def _peel_forest(comps, j):
     out = []
     for color, root, child in comps:
@@ -297,17 +291,24 @@ def weight_forest(forest) -> int:
     return sum(forest_step_weights(forest))
 
 
+def _sum_monomials(pairs) -> BiPoly:
+    """Sum of q^weight t^emp over ``(weight, emp)`` pairs, counted first
+    and built as one polynomial."""
+    counts = Counter(pairs)
+    width = 1 + max((w for w, _ in counts), default=-1)
+    rows = [[0] * width for _ in range(1 + max((e for _, e in counts), default=-1))]
+    for (w, e), c in counts.items():
+        rows[e][w] += c
+    return BiPoly.make(map(QPoly.make, rows))
+
+
 def weighted_sum_trees(n: int, *, max_n=None) -> BiPoly:
     """Sum of q^weight t^emp over all size-n trees (= the operator P_n)."""
-    total = BiPoly.zero()
-    for t in enumerate_trees(n, max_n=max_n):
-        total = total + BiPoly.monomial(weight_tree(t), emp(t))
-    return total
+    return _sum_monomials((weight_tree(t), emp(t))
+                          for t in enumerate_trees(n, max_n=max_n))
 
 
 def weighted_sum_forests(n: int, *, white_only: bool = False, max_n=None) -> BiPoly:
     """Sum of q^weight t^emp over forests (all: R_n; white only: Q_n)."""
-    total = BiPoly.zero()
-    for f in enumerate_forests(n, white_only=white_only, max_n=max_n):
-        total = total + BiPoly.monomial(weight_forest(f), emp_forest(f))
-    return total
+    return _sum_monomials((weight_forest(f), emp_forest(f)) for f in
+                          enumerate_forests(n, white_only=white_only, max_n=max_n))

@@ -21,6 +21,7 @@ entries of snakes.
 from __future__ import annotations
 
 import os
+from operator import itemgetter
 
 from .errors import LimitError, MembershipError
 
@@ -101,10 +102,6 @@ def rmlab(tree) -> int:
     """Label of the last labelled node on the rightmost path."""
     path = rightmost_path(tree)
     return label(path[-1]) if not is_empty(path[-1]) else label(path[-2])
-
-
-def tree_class(tree) -> tuple[bool, int]:
-    return is_starred(tree), rmlab(tree)
 
 
 def in_left_class(tree) -> bool:
@@ -239,21 +236,29 @@ def _ceiling(max_n) -> int:
     return int(env) if env else DEFAULT_TREE_CEILING
 
 
-def _trees_over(labels: tuple):
-    """All complete increasing trees on a fixed label set ("e" if empty)."""
+def _keyed_trees(labels: tuple, memo: dict) -> list:
+    """``(word_sort_key, tree)`` for every complete increasing tree on a
+    label tuple (``"e"`` if empty), memoised in ``memo`` by label tuple.
+    A tree's key is key(left) + (root,) + key(right), and (0,) for an
+    empty slot, so no inorder word is read."""
+    found = memo.get(labels)
+    if found is not None:
+        return found
     if not labels:
-        yield EMPTY
-        return
-    root, rest = labels[0], labels[1:]
-    if not rest:
-        yield (root,)
-    m = len(rest)
-    for mask in range(1 << m):
-        left = tuple(rest[i] for i in range(m) if mask >> i & 1)
-        right = tuple(rest[i] for i in range(m) if not mask >> i & 1)
-        for lt in _trees_over(left):
-            for rt in _trees_over(right):
-                yield (root, lt, rt)
+        out = [((0,), EMPTY)]
+    else:
+        root, rest = labels[0], labels[1:]
+        out = [] if rest else [((root,), (root,))]
+        m = len(rest)
+        for mask in range(1 << m):
+            left = tuple(rest[i] for i in range(m) if mask >> i & 1)
+            right = tuple(rest[i] for i in range(m) if not mask >> i & 1)
+            rights = _keyed_trees(right, memo)
+            for lk, lt in _keyed_trees(left, memo):
+                lk += (root,)
+                out.extend((lk + rk, (root, lt, rt)) for rk, rt in rights)
+    memo[labels] = out
+    return out
 
 
 def enumerate_trees(n: int, *, starred: bool | None = None,
@@ -266,14 +271,14 @@ def enumerate_trees(n: int, *, starred: bool | None = None,
     if n > ceiling:
         raise LimitError("tree enumeration", n, ceiling)
     out = []
-    for t in _trees_over(tuple(range(1, n + 1))):
+    for key, t in _keyed_trees(tuple(range(1, n + 1)), {}):
         if starred is not None and is_starred(t) != starred:
             continue
         if rightmost is not None and rmlab(t) != rightmost:
             continue
-        out.append(t)
-    out.sort(key=lambda t: word_sort_key(inorder_word(t)))
-    return out
+        out.append((key, t))
+    out.sort(key=itemgetter(0))
+    return [t for _, t in out]
 
 
 # -- the three grade-shifting maps --------------------------------------
@@ -467,10 +472,9 @@ def tree_to_word_json(tree) -> list:
 
 
 def label_from_json(x) -> int:
-    try:
-        return int(x)
-    except TypeError:
-        raise ValueError(f"bad label {x!r}") from None
+    if type(x) is not int:  # also rejects JSON booleans
+        raise ValueError(f"bad label {x!r}")
+    return x
 
 
 def node_from_json(o):

@@ -3,7 +3,8 @@
 Every registered check recomputes one published claim from scratch at
 all sizes up to its depth and reports the first discrepancy as a
 counterexample.  Checks are deterministic and independent; default
-depths keep each one comfortably inside a minute.
+depths keep each one comfortably inside a minute.  A check that hits an
+enumeration ceiling reports status "error" instead of aborting a run.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from . import fixtures as fx
 from .bijections import (phi1, phi1_d, phi1_d_inv, phi1_inv, phi2, phi2_d,
                          phi2_d_inv, phi2_inv, zeta1, zeta1_inv, zeta2,
                          zeta2_inv)
+from .errors import LimitError
 from .forests import (emp_forest, enumerate_forests, forest_sort_key,
                       is_all_white, last_root)
 from .permutations import (enumerate_family, gae, is_member, npk, nva,
@@ -615,10 +617,14 @@ def run_check(check_id: str, n_max: int | None = None) -> CheckReport:
     default, fn = CHECKS[check_id]
     depth = default if n_max is None else int(n_max)
     start = time.perf_counter()
-    counterexample = fn(depth)
+    try:
+        counterexample = fn(depth)
+    except LimitError as exc:
+        counterexample, status = {"error": str(exc)}, "error"
+    else:
+        status = "pass" if counterexample is None else "fail"
     elapsed = time.perf_counter() - start
-    return CheckReport(check_id=check_id, n_range=[1, depth],
-                       status="pass" if counterexample is None else "fail",
+    return CheckReport(check_id=check_id, n_range=[1, depth], status=status,
                        counterexample=counterexample, elapsed=round(elapsed, 4))
 
 

@@ -138,3 +138,39 @@ def test_poly_n0_stays_valid(capsys):
     code, out, _ = run(capsys, "poly", "--which", "P", "--n", "0")
     assert code == 0
     assert json.loads(out) == {"min_exp": 1, "coeffs": [1]}
+
+
+@pytest.mark.parametrize("argv", [
+    ("--name", "zeta2", "--direction", "inverse", "--input", "[1.7]"),
+    ("--name", "gamma", "--direction", "inverse", "--input", "[2.9,-1]"),
+])
+def test_non_integral_window_entries_exit_4(capsys, argv):
+    code, out, err = run(capsys, "bijection", *argv)
+    assert code == 4 and out == ""
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("--name", "psi-cap", "--input", "[true]"),
+    ("--name", "psi-cap", "--input", "[1.5]"),
+    ("--name", "psi-cap", "--direction", "inverse", "--input", '["e",true,"e"]'),
+    ("--name", "gamma", "--input", '{"leaf":true}'),
+    ("--name", "gamma", "--input", '{"label":1.0,"left":"empty","right":"empty"}'),
+    ("--name", "phi1", "--direction", "inverse",
+     "--input", '{"components":[{"color":"white","root":true,"child":"empty"}]}'),
+    ("--name", "phi1", "--direction", "inverse",
+     "--input", '{"components":[{"color":"white","root":1.5,"child":"empty"}]}'),
+])
+def test_boolean_and_non_integral_labels_exit_4(capsys, argv):
+    code, out, err = run(capsys, "bijection", *argv)
+    assert code == 4 and out == ""
+    assert len(err.splitlines()) == 1
+
+
+def test_ceiling_inside_a_check_is_reported_not_aborted(capsys, monkeypatch):
+    monkeypatch.setenv("SNAKE_ATLAS_MAX_N", "3")
+    code, out, _ = run(capsys, "verify", "--check", "thm-4-5", "--n-max", "3")
+    assert code == 3
+    [report] = json.loads(out)
+    assert report["status"] == "error"
+    assert "exceeds ceiling 3" in report["counterexample"]["error"]

@@ -4,14 +4,26 @@ enumerate_family never calls is_member; these tests compare it with the
 brute-force reading of each family (every window, filtered by is_member)
 for every family and every anchor value, and, one size further, the
 -b / -d refinements with their base family filtered by is_member.
+
+enumerate_forests sorts nothing and enumerate_trees sorts on keys built
+during generation; both are compared with brute-force listings sorted by
+forest_sort_key / the inorder word, and the counted q-weight sums with
+the naive sum of monomials.
 """
 from functools import lru_cache
+from itertools import product
 
 import pytest
 
+from snake_atlas.forests import (BLACK, WHITE, emp_forest, enumerate_forests,
+                                 forest_sort_key)
 from snake_atlas.permutations import (FAMILY_TAGS, all_windows,
                                       augmenting_elements, enumerate_family,
                                       is_member)
+from snake_atlas.qcalculus import (BiPoly, weight_forest, weight_tree,
+                                   weighted_sum_forests, weighted_sum_trees)
+from snake_atlas.trees import (EMPTY, emp, enumerate_trees, inorder_word,
+                               is_starred, rmlab, word_sort_key)
 
 
 def _gae_or_zero(w):
@@ -58,3 +70,91 @@ def test_refinements_match_filtered_base_at_n7(family):
     base = _base_at_n7(family.split("-")[0])
     assert enumerate_family(family, 7) == [w for w in base if is_member(w, family)]
 
+
+
+# -- trees and forests: canonical order without a global sort -------------
+
+def _brute_trees(labels):
+    """Every complete increasing tree on the sorted labels, grown by
+    putting each label in turn on an empty leaf as (k,) or (k, e, e)."""
+    def grow(node, k):
+        if node == EMPTY:
+            yield (k,)
+            yield (k, EMPTY, EMPTY)
+        elif len(node) == 3:
+            for left in grow(node[1], k):
+                yield (node[0], left, node[2])
+            for right in grow(node[2], k):
+                yield (node[0], node[1], right)
+
+    trees = [EMPTY]
+    for k in labels:
+        trees = [t for s in trees for t in grow(s, k)]
+    return trees
+
+
+def _set_partitions(values):
+    if not values:
+        yield []
+        return
+    first, rest = values[0], values[1:]
+    for part in _set_partitions(rest):
+        yield [[first]] + part
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]
+
+
+def _brute_forests(n, colors):
+    out = []
+    for part in _set_partitions(list(range(1, n + 1))):
+        choices = [[(color, block[0], child) for child in _brute_trees(block[1:])
+                    for color in colors] for block in sorted(part)]
+        out.extend(product(*choices))
+    return out
+
+
+def _no_duplicates(xs):
+    return len(set(xs)) == len(xs)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("white_only", [False, True])
+def test_forests_come_out_in_canonical_order(n, white_only):
+    brute = sorted(_brute_forests(n, (WHITE,) if white_only else (BLACK, WHITE)),
+                   key=forest_sort_key)
+    for last in [None] + list(range(1, n + 1)):
+        got = enumerate_forests(n, white_only=white_only, last=last)
+        assert _no_duplicates(got)
+        assert got == [f for f in brute if last is None or f[-1][1] == last], last
+
+
+def _tree_key(t):
+    return word_sort_key(inorder_word(t))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_trees_come_out_in_inorder_word_order(n):
+    brute = sorted(_brute_trees(range(1, n + 1)), key=_tree_key)
+    assert len(brute) == len(set(brute))
+    assert enumerate_trees(n) == brute
+    for starred in (None, True, False):
+        for rightmost in [None] + list(range(1, n + 1)):
+            got = enumerate_trees(n, starred=starred, rightmost=rightmost)
+            assert _no_duplicates(got)
+            assert got == [t for t in brute if starred in (None, is_starred(t))
+                           and rightmost in (None, rmlab(t))], (starred, rightmost)
+
+
+def _naive_sum(objects, weight, size):
+    total = BiPoly.zero()
+    for x in objects:
+        total = total + BiPoly.monomial(weight(x), size(x))
+    return total
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_weighted_sums_match_the_naive_sum(n):
+    assert weighted_sum_trees(n) == _naive_sum(enumerate_trees(n), weight_tree, emp)
+    for white_only in (False, True):
+        assert weighted_sum_forests(n, white_only=white_only) == _naive_sum(
+            enumerate_forests(n, white_only=white_only), weight_forest, emp_forest)

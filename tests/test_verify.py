@@ -58,3 +58,14 @@ def test_reports_are_idempotent():
 
 def test_column_sum_relation_at_depth():
     assert run_check("cor-3-2", 6).status == "pass"
+
+
+def test_ceiling_error_is_a_report_status(monkeypatch):
+    monkeypatch.setenv("SNAKE_ATLAS_MAX_N", "3")
+    obj = run_check("thm-4-5", 3).to_json()
+    assert set(obj) == {"check_id", "n_range", "status", "counterexample", "elapsed"}
+    assert obj["status"] == "error"
+    assert obj["counterexample"] == {"error": "family 'adi' enumeration: n=4 exceeds ceiling 3"}
+    reports = run_all(3)
+    assert len(reports) == len(verify.CHECKS) == 25
+    assert "thm-4-5" in [r.check_id for r in reports if r.status == "error"]
