@@ -7,12 +7,13 @@ import argparse
 import json
 import sys
 
+from snake_atlas.cli import _int_at_least
 from snake_atlas.verify import run_all
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n-max", type=int, default=None)
+    parser.add_argument("--n-max", type=_int_at_least(1), default=None)
     parser.add_argument("--out", default=None, help="optional JSON report path")
     args = parser.parse_args()
 

@@ -5,7 +5,7 @@ from .bijections import (phi1, phi1_b, phi1_b_inv, phi1_d, phi1_d_inv,
                          phi1_inv, phi2, phi2_b, phi2_b_inv, phi2_d,
                          phi2_d_inv, phi2_inv, zeta1, zeta1_inv, zeta2,
                          zeta2_inv)
-from .errors import LimitError, MembershipError
+from .errors import LimitError, MembershipError, SettingError
 from .forests import (emp_forest, enumerate_forests, forest_from_json,
                       forest_to_json, forest_to_tree, tree_to_forest)
 from .permutations import (FAMILY_TAGS, augmenting_elements, enumerate_family,

@@ -33,7 +33,7 @@ from .forests import (BLACK, WHITE, forest_to_tree, tree_to_forest,
                       validate_forest)
 from .permutations import (augmenting_elements, check_window,
                            expand_first_entry, expand_last_entry, is_member,
-                           shrink_first_entry, shrink_last_entry, subword,
+                           shrink_first_entry, shrink_last_entry,
                            _simsun_levels_ok)
 from .trees import EMPTY, is_starred, rmlab, validate_tree
 
@@ -227,7 +227,7 @@ def phi1(window, trace: bool = False):
     steps = []
     prev = ()
     for j in range(1, n + 1):
-        sub = subword(w, j)
+        sub = tuple(x for x in w if -j <= x <= j)
         p = next(i for i, x in enumerate(sub) if abs(x) == j)
         x = sub[p]
         m = len(sub)
@@ -340,7 +340,7 @@ def phi2(window, trace: bool = False):
     steps = []
     prev = ()
     for j in range(1, n + 1):
-        sub = subword(w, j)
+        sub = tuple(x for x in w if -j <= x <= j)
         p = next(i for i, x in enumerate(sub) if abs(x) == j)
         x = sub[p]
         m = len(sub)

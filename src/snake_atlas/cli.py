@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -24,7 +25,7 @@ from .bijections import (phi1, phi1_b, phi1_b_inv, phi1_d, phi1_d_inv,
                          phi1_inv, phi2, phi2_b, phi2_b_inv, phi2_d,
                          phi2_d_inv, phi2_inv, zeta1, zeta1_inv, zeta2,
                          zeta2_inv)
-from .errors import LimitError, MembershipError
+from .errors import LimitError, MembershipError, SettingError
 from .forests import (forest_from_json, forest_to_json, forest_to_tree,
                       tree_to_forest)
 from .permutations import FAMILY_TAGS, check_window, enumerate_family
@@ -150,14 +151,10 @@ def _triangle(args) -> int:
 
 
 def _family(args) -> int:
-    constraint = None
-    if args.anchor is not None or args.value is not None:
-        if args.anchor is None or args.value is None:
-            raise ValueError("--anchor and --value go together")
-        constraint = (args.anchor, args.value)
+    constraint = None if args.anchor is None else (args.anchor, args.value)
     members = enumerate_family(args.name, args.n, constraint)
     _emit({"family": args.name, "n": args.n, "count": len(members),
-           "members": [list(w) for w in members]})
+           "members": members})
     return 0
 
 
@@ -199,7 +196,9 @@ def _verify(args) -> int:
     return 0 if all(r.status == "pass" for r in reports) else EXIT_VERIFY_FAIL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once and reused; ``parse_args`` only reads it."""
     parser = argparse.ArgumentParser(prog="snake-atlas",
                                      description="exact enumeration of snakes, "
                                                  "signed Simsun/Andre families and "
@@ -235,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run registered checks")
     p.add_argument("--check", default="all", choices=["all"] + sorted(CHECKS))
-    p.add_argument("--n-max", type=int, default=None)
+    p.add_argument("--n-max", type=_int_at_least(1), default=None)
     p.set_defaults(fn=_verify)
 
     return parser
@@ -244,6 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "family" and (args.anchor is None) != (args.value is None):
+        parser.error("--anchor and --value go together")
     try:
         return args.fn(args)
     except LimitError as exc:
@@ -252,6 +253,9 @@ def main(argv=None) -> int:
     except MembershipError as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_DOMAIN
+    except SettingError as exc:
+        sys.stderr.write(f"{exc}\n")
+        return EXIT_USAGE
     except ValueError as exc:
         sys.stderr.write(f"invalid input: {exc}\n")
         return EXIT_BAD_JSON

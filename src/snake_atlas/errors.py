@@ -1,5 +1,7 @@
-"""Shared exception types."""
+"""Shared exception types and the enumeration ceiling check."""
 from __future__ import annotations
+
+import os
 
 
 class LimitError(ValueError):
@@ -9,6 +11,10 @@ class LimitError(ValueError):
         self.n = n
         self.ceiling = ceiling
         super().__init__(f"{what}: n={n} exceeds ceiling {ceiling}")
+
+
+class SettingError(ValueError):
+    """An environment setting holds a value that cannot be used."""
 
 
 class MembershipError(ValueError):
@@ -21,3 +27,18 @@ class MembershipError(ValueError):
     def __init__(self, message: str, step: int | None = None):
         self.step = step
         super().__init__(message if step is None else f"{message} (step {step})")
+
+
+def enforce_ceiling(what: str, n: int, max_n, default: int) -> None:
+    """Raise LimitError when n exceeds the ceiling: ``max_n`` when given,
+    else SNAKE_ATLAS_MAX_N when set, else ``default``."""
+    if max_n is not None:
+        ceiling = int(max_n)
+    else:
+        env = os.environ.get("SNAKE_ATLAS_MAX_N")
+        try:
+            ceiling = int(env) if env else default
+        except ValueError:
+            raise SettingError(f"SNAKE_ATLAS_MAX_N must be an integer, got {env!r}") from None
+    if n > ceiling:
+        raise LimitError(what, n, ceiling)

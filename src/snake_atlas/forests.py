@@ -12,10 +12,9 @@ all-white forests, with the path nodes as roots (``tree_to_forest``).
 """
 from __future__ import annotations
 
-import os
 from operator import itemgetter
 
-from .errors import LimitError, MembershipError
+from .errors import MembershipError, enforce_ceiling
 from .trees import (EMPTY, _keyed_trees, _labels, emp, inorder_word, is_empty,
                     is_leaf, is_starred, label_from_json, node_from_json,
                     tree_to_json, validate_tree, word_sort_key)
@@ -94,13 +93,6 @@ def arranged_components(forest) -> tuple:
 
 # -- enumeration --------------------------------------------------------
 
-def _ceiling(max_n) -> int:
-    if max_n is not None:
-        return int(max_n)
-    env = os.environ.get("SNAKE_ATLAS_MAX_N")
-    return int(env) if env else DEFAULT_FOREST_CEILING
-
-
 def enumerate_forests(n: int, *, white_only: bool = False,
                       last: int | None = None, max_n=None) -> list:
     """All forests on 1..n (optionally all-white, optionally with a
@@ -113,9 +105,7 @@ def enumerate_forests(n: int, *, white_only: bool = False,
     leaves, and no global sort is needed."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    ceiling = _ceiling(max_n)
-    if n > ceiling:
-        raise LimitError("forest enumeration", n, ceiling)
+    enforce_ceiling("forest enumeration", n, max_n, DEFAULT_FOREST_CEILING)
     colors = (WHITE,) if white_only else (BLACK, WHITE)
     trees = {}
     memo = {(): [()]}

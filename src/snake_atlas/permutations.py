@@ -24,9 +24,7 @@ value <= k in window order.
 """
 from __future__ import annotations
 
-import os
-
-from .errors import LimitError
+from .errors import enforce_ceiling
 
 DEFAULT_PERM_CEILING = 8
 
@@ -130,35 +128,41 @@ def _gae_or_zero(w) -> int:
 
 # -- building blocks for memberships ----------------------------------
 
-def _has_double_descent(word) -> bool:
-    return any(word[i] > word[i + 1] > word[i + 2] for i in range(len(word) - 2))
-
-
-def _ends_ascent(word) -> bool:
-    return len(word) < 2 or word[-2] < word[-1]
+def _bad_levels(w, signed: bool, need_ascent: bool):
+    """Levels k = n, ..., 2, largest first, whose restriction of w (of |w|
+    unless ``signed``) has a double descent or, with ``need_ascent``,
+    ends in a descent.  One O(n) pass: the word is a doubly linked list
+    between sentinels below and above every value (so no triple through
+    them descends), and deleting |x| = n, ..., 2 in turn changes only the
+    triples through the deleted entry, so the descending-triple count
+    stays current."""
+    n = len(w)
+    v = [-n - 1] + [x if signed else abs(x) for x in w] + [n + 1]
+    prv = [0] + list(range(n + 1))
+    nxt = list(range(1, n + 2)) + [n + 1]
+    at = [0] * (n + 1)
+    for i, x in enumerate(w, 1):
+        at[abs(x)] = i
+    count = sum(x > y > z for x, y, z in zip(v, v[1:], v[2:]))
+    for k in range(n, 1, -1):
+        last = prv[n + 1]
+        if count or need_ascent and v[prv[last]] > v[last]:
+            yield k
+        p = at[k]
+        a, b = prv[p], nxt[p]
+        va, vp, vb, vz, vc = v[a], v[p], v[b], v[prv[a]], v[nxt[b]]
+        count += ((vz > va > vb) + (va > vb > vc)
+                  - (vz > va > vp) - (va > vp > vb) - (vp > vb > vc))
+        nxt[a], prv[b] = b, a
 
 
 def _simsun_levels_ok(w, signed: bool) -> int | None:
     """First level 1..n whose restriction has a double descent, else None."""
-    n = len(w)
-    for k in range(1, n + 1):
-        word = [x for x in w if abs(x) <= k]
-        if not signed:
-            word = [abs(x) for x in word]
-        if _has_double_descent(word):
-            return k
-    return None
+    return min(_bad_levels(w, signed, need_ascent=False), default=None)
 
 
 def _andre_levels_ok(w, signed: bool) -> bool:
-    n = len(w)
-    for k in range(1, n + 1):
-        word = [x for x in w if abs(x) <= k]
-        if not signed:
-            word = [abs(x) for x in word]
-        if _has_double_descent(word) or not _ends_ascent(word):
-            return False
-    return True
+    return next(_bad_levels(w, signed, need_ascent=True), None) is None
 
 
 def _rl_min_positions(absvals) -> list[int]:
@@ -297,18 +301,9 @@ def is_member(window, family: str) -> bool:
 
 # -- enumeration -------------------------------------------------------
 
-def _ceiling(max_n) -> int:
-    if max_n is not None:
-        return int(max_n)
-    env = os.environ.get("SNAKE_ATLAS_MAX_N")
-    return int(env) if env else DEFAULT_PERM_CEILING
-
-
 def all_windows(n: int, *, max_n=None):
     """Every signed-permutation window of size n, lexicographic order."""
-    ceiling = _ceiling(max_n)
-    if n > ceiling:
-        raise LimitError("signed-permutation enumeration", n, ceiling)
+    enforce_ceiling("signed-permutation enumeration", n, max_n, DEFAULT_PERM_CEILING)
     out = []
 
     def extend(prefix, used):
@@ -420,9 +415,7 @@ def enumerate_family(family: str, n: int, constraint=None, *, max_n=None):
         raise ValueError(f"unknown family {family!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
-    ceiling = _ceiling(max_n)
-    if n > ceiling:
-        raise LimitError(f"family {family!r} enumeration", n, ceiling)
+    enforce_ceiling(f"family {family!r} enumeration", n, max_n, DEFAULT_PERM_CEILING)
 
     if family in ("snakes", "gamma-snakes", "alternating-unsigned"):
         members = _gen_positional(n, unsigned=family == "alternating-unsigned")

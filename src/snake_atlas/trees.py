@@ -20,10 +20,9 @@ entries of snakes.
 """
 from __future__ import annotations
 
-import os
 from operator import itemgetter
 
-from .errors import LimitError, MembershipError
+from .errors import MembershipError, enforce_ceiling
 
 EMPTY = "e"
 DEFAULT_TREE_CEILING = 9
@@ -229,13 +228,6 @@ def _shift_labels(tree, from_label: int, delta: int):
 
 # -- enumeration --------------------------------------------------------
 
-def _ceiling(max_n) -> int:
-    if max_n is not None:
-        return int(max_n)
-    env = os.environ.get("SNAKE_ATLAS_MAX_N")
-    return int(env) if env else DEFAULT_TREE_CEILING
-
-
 def _keyed_trees(labels: tuple, memo: dict) -> list:
     """``(word_sort_key, tree)`` for every complete increasing tree on a
     label tuple (``"e"`` if empty), memoised in ``memo`` by label tuple.
@@ -267,9 +259,7 @@ def enumerate_trees(n: int, *, starred: bool | None = None,
     filtered by class and rightmost label."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    ceiling = _ceiling(max_n)
-    if n > ceiling:
-        raise LimitError("tree enumeration", n, ceiling)
+    enforce_ceiling("tree enumeration", n, max_n, DEFAULT_TREE_CEILING)
     out = []
     for key, t in _keyed_trees(tuple(range(1, n + 1)), {}):
         if starred is not None and is_starred(t) != starred:

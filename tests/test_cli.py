@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from snake_atlas import cli
 from snake_atlas.cli import main
 
 
@@ -174,3 +175,60 @@ def test_ceiling_inside_a_check_is_reported_not_aborted(capsys, monkeypatch):
     [report] = json.loads(out)
     assert report["status"] == "error"
     assert "exceeds ceiling 3" in report["counterexample"]["error"]
+
+
+@pytest.mark.parametrize("check", ["thm-1-1", "eq-1"])
+def test_verify_n_max_below_one_is_a_usage_error(capsys, check):
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "verify", "--check", check, "--n-max", "0")
+    assert exc.value.code == 2
+
+
+def test_non_integer_ceiling_setting_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("SNAKE_ATLAS_MAX_N", "x")
+    code, out, err = run(capsys, "family", "--name", "snakes", "--n", "2")
+    assert code == 2 and out == ""
+    assert err == "SNAKE_ATLAS_MAX_N must be an integer, got 'x'\n"
+
+
+@pytest.mark.parametrize("extra", [("--anchor", "first"), ("--value", "2")])
+def test_anchor_and_value_go_together(capsys, extra):
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "family", "--name", "snakes", "--n", "3", *extra)
+    assert exc.value.code == 2
+    assert "--anchor and --value go together" in capsys.readouterr().err
+
+
+PARSER_REUSE_SEQUENCE = [
+    ("bijection", "--name", "phi1", "--input", "[2,8,-3,4,-7,1,-6,-5]", "--trace"),
+    ("bijection", "--name", "phi1", "--input", "[2,8,-3,4,-7,1,-6,-5]"),
+    ("family", "--name", "snakes", "--n", "3", "--anchor", "first", "--value", "1"),
+    ("family", "--name", "snakes", "--n", "3"),
+    ("family", "--name", "bogus", "--n", "3"),
+    ("poly", "--which", "Q", "--n", "4"),
+    ("bijection", "--name", "phi2", "--direction", "inverse", "--trace",
+     "--input", '{"components":[{"color":"white","root":1,"child":"empty"}]}'),
+    ("verify", "--check", "eq-1", "--n-max", "0"),
+    ("triangle", "--kind", "arnold", "--n", "3", "--format", "csv"),
+]
+
+
+def _run_sequence(capsys):
+    results = []
+    for argv in PARSER_REUSE_SEQUENCE:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        results.append((code, out.out, out.err))
+    return results
+
+
+def test_shared_parser_matches_a_fresh_parser_per_call(capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    shared = _run_sequence(capsys)
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = _run_sequence(capsys)
+    assert shared == fresh
+    assert [r[0] for r in shared] == [0, 0, 0, 0, 2, 0, 0, 2, 0]

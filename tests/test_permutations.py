@@ -1,17 +1,23 @@
 """Signed-permutation statistics, memberships and enumerators."""
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from snake_atlas import fixtures as fx
-from snake_atlas.errors import LimitError
-from snake_atlas.permutations import (FAMILY_TAGS, all_windows,
+from snake_atlas.bijections import phi1, phi2, zeta1, zeta1_inv
+from snake_atlas.errors import LimitError, MembershipError, SettingError
+from snake_atlas.forests import enumerate_forests
+from snake_atlas.permutations import (FAMILY_TAGS, _andre_levels_ok,
+                                      _simsun_levels_ok, all_windows,
                                       augmenting_elements, check_window,
                                       enumerate_family, expand_first_entry,
                                       expand_last_entry, gae, is_beta_snake,
                                       is_gamma_snake, is_member, npk, nva,
                                       shrink_first_entry, shrink_last_entry,
                                       subword)
+from snake_atlas.trees import enumerate_trees
 
 
 @st.composite
@@ -170,6 +176,17 @@ def test_ceiling_env_override(monkeypatch):
         enumerate_family("snakes", 3)
 
 
+@pytest.mark.parametrize("enumerate_", [
+    lambda: enumerate_family("snakes", 2),
+    lambda: enumerate_trees(2),
+    lambda: enumerate_forests(2),
+])
+def test_non_integer_ceiling_setting_is_a_setting_error(monkeypatch, enumerate_):
+    monkeypatch.setenv("SNAKE_ATLAS_MAX_N", "x")
+    with pytest.raises(SettingError, match="SNAKE_ATLAS_MAX_N must be an integer, got 'x'"):
+        enumerate_()
+
+
 def test_shrink_expand_round_trip():
     src, tgt = fx.TYPE1_D_EXAMPLE
     assert shrink_last_entry(src) == tgt
@@ -183,3 +200,85 @@ def test_unsigned_families_are_all_positive(w):
     for family in ("alternating-unsigned", "simsun-unsigned", "andre-unsigned"):
         if is_member(w, family):
             assert all(x > 0 for x in w)
+
+
+# -- restriction levels: the one-pass scan against the definition ---------
+
+def _restriction(w, k, signed):
+    return [x if signed else abs(x) for x in w if abs(x) <= k]
+
+
+def _has_double_descent(word):
+    return any(word[i] > word[i + 1] > word[i + 2] for i in range(len(word) - 2))
+
+
+def reference_simsun_levels(w, signed):
+    """First level whose restriction has a double descent, level by level."""
+    for k in range(1, len(w) + 1):
+        if _has_double_descent(_restriction(w, k, signed)):
+            return k
+    return None
+
+
+def reference_andre_levels(w, signed):
+    for k in range(1, len(w) + 1):
+        word = _restriction(w, k, signed)
+        if _has_double_descent(word) or len(word) >= 2 and word[-2] > word[-1]:
+            return False
+    return True
+
+
+def _assert_levels_match(w):
+    for signed in (False, True):
+        assert _simsun_levels_ok(w, signed) == reference_simsun_levels(w, signed), (w, signed)
+        assert _andre_levels_ok(w, signed) == reference_andre_levels(w, signed), (w, signed)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_level_scan_matches_definition_exhaustively(n):
+    for w in all_windows(n):
+        _assert_levels_match(w)
+
+
+def _random_level_windows(rng, n):
+    """A random window, and one grown level by level with no double
+    descent (so every level is scanned) plus a copy with two entries
+    swapped (so the first bad level is often high)."""
+    values = list(range(1, n + 1))
+    rng.shuffle(values)
+    yield tuple(v * rng.choice((1, -1)) for v in values)
+    signed = rng.random() < 0.5
+    word = []
+    for v in range(1, n + 1):
+        options = [word[:i] + [s * v] + word[i:] for i in range(len(word) + 1) for s in (1, -1)]
+        options = [o for o in options if not _has_double_descent(
+            [x if signed else abs(x) for x in o])]
+        word = rng.choice(options)
+    yield tuple(word)
+    i, j = rng.sample(range(n), 2)
+    word[i], word[j] = word[j], word[i]
+    yield tuple(word)
+
+
+def test_level_scan_matches_definition_at_large_n():
+    rng = random.Random(20240)
+    for _ in range(150):
+        for w in _random_level_windows(rng, rng.randint(20, 40)):
+            _assert_levels_match(w)
+
+
+@pytest.mark.parametrize("fn, family, signed", [
+    (phi1, "rsi", False), (phi2, "rsii", True), (zeta1, "adi", False),
+    (zeta1_inv, "rsi", False),
+])
+def test_membership_error_step_is_first_bad_level(fn, family, signed):
+    for n in range(3, 6):
+        for w in all_windows(n):
+            if is_member(w, family):
+                continue
+            with pytest.raises(MembershipError) as err:
+                fn(w)
+            step = reference_simsun_levels(w, signed)
+            assert err.value.step == step
+            message = f"{fn.__name__}: input not in {family}"
+            assert str(err.value) == (message if step is None else f"{message} (step {step})")
