@@ -29,13 +29,14 @@ tree afterwards.
 from __future__ import annotations
 
 from .errors import MembershipError
-from .forests import (BLACK, WHITE, forest_to_tree, tree_to_forest,
-                      validate_forest)
+from .forests import (BLACK, WHITE, _arranged_key, forest_to_tree,
+                      tree_to_forest, validate_forest)
 from .permutations import (augmenting_elements, check_window,
                            expand_first_entry, expand_last_entry, is_member,
                            shrink_first_entry, shrink_last_entry,
-                           _simsun_levels_ok)
-from .trees import EMPTY, is_starred, rmlab, validate_tree
+                           _rl_min_positions, _simsun_levels_ok)
+from .trees import (EMPTY, _shift_labels, is_starred, nodes_to_tree, rmlab,
+                    tree_nodes, validate_tree)
 
 # When enabled, the forward algorithms assert the step-by-step
 # correspondence between word marks and node classes.
@@ -48,42 +49,24 @@ class _Builder:
     def __init__(self):
         self.colors = {}      # root label -> BLACK | WHITE
         self.root_child = {}  # root label -> EMPTY | label
-        self.kids = {}        # non-root label -> None | [slot, slot]
+        self.kids = {}        # non-root nodes, in the trees.tree_nodes node map
 
     @staticmethod
     def from_forest(forest) -> "_Builder":
         b = _Builder()
-
-        def add(node):
-            if len(node) == 1:
-                b.kids[node[0]] = None
-                return node[0]
-            b.kids[node[0]] = [add_slot(node[1]), add_slot(node[2])]
-            return node[0]
-
-        def add_slot(c):
-            return EMPTY if c == EMPTY else add(c)
-
         for color, root, child in forest:
             b.colors[root] = color
-            b.root_child[root] = EMPTY if child == EMPTY else add(child)
+            if child == EMPTY:
+                b.root_child[root] = EMPTY
+            else:
+                b.root_child[root], nodes = tree_nodes(child)
+                b.kids.update(nodes)
         return b
 
     def to_forest(self) -> tuple:
-        def build(v):
-            kid = self.kids[v]
-            if kid is None:
-                return (v,)
-            l, r = kid
-            return (v, EMPTY if l == EMPTY else build(l),
-                    EMPTY if r == EMPTY else build(r))
-
-        comps = []
-        for root in sorted(self.colors):
-            c = self.root_child[root]
-            comps.append((self.colors[root], root,
-                          EMPTY if c == EMPTY else build(c)))
-        return tuple(comps)
+        return tuple((self.colors[root], root,
+                      EMPTY if c == EMPTY else nodes_to_tree(c, self.kids))
+                     for root, c in sorted(self.root_child.items()))
 
     def parent_of(self, v):
         """(kind, ...) locating v's parent slot."""
@@ -106,11 +89,6 @@ class _Builder:
         if kid is None or kid.count(EMPTY) != 1:
             raise MembershipError(f"node {v} is not intermediate")
         kid[kid.index(EMPTY)] = j
-
-    def arranged_roots(self):
-        black = sorted((r for r, c in self.colors.items() if c == BLACK), reverse=True)
-        white = sorted(r for r, c in self.colors.items() if c == WHITE)
-        return black + white
 
     def singular_slots(self):
         """Singular empty leaves left to right in the arranged layout.
@@ -136,7 +114,7 @@ class _Builder:
             else:
                 walk(r)
 
-        for root in self.arranged_roots():
+        for root in sorted(self.colors, key=lambda r: _arranged_key(self.colors[r], r)):
             c = self.root_child[root]
             if c == EMPTY:
                 slots.append(("root", root))
@@ -279,7 +257,7 @@ def phi1_inv(forest, trace: bool = False):
     b = _Builder.from_forest(forest)
     n = len(b.colors) + len(b.kids)
     signs = _b1_signs(b, n)
-    records = _peel(b, signs, n)
+    records = _peel(b, signs, n, _type1_record)
     word = [signs[1] * 1]
     steps = [("root", 1)]
     for j in range(2, n + 1):
@@ -300,8 +278,10 @@ def phi1_inv(forest, trace: bool = False):
     return (out, steps) if trace else out
 
 
-def _peel(b: _Builder, signs: dict, n: int) -> dict:
-    """Remove labels n..2, recording for each how to replay it."""
+def _peel(b: _Builder, signs: dict, n: int, record) -> dict:
+    """Remove labels n..2, keeping for each how to replay it: ("root",)
+    for a root, else ``record(b, j, slot)`` once j is unhooked from the
+    vacated ``slot`` (as located by ``parent_of``)."""
     records = {}
     for j in range(n, 1, -1):
         if j in b.colors:
@@ -309,25 +289,29 @@ def _peel(b: _Builder, signs: dict, n: int) -> dict:
             del b.root_child[j]
             records[j] = ("root",)
             continue
-        loc = b.parent_of(j)
-        if loc is None:
+        slot = b.parent_of(j)
+        if slot is None:
             raise MembershipError(f"node {j} is unreachable")
         del b.kids[j]
-        if loc[0] == "root":
-            v = loc[1]
+        v = slot[1]
+        if slot[0] == "root":
             b.root_child[v] = EMPTY
         else:
-            _, v, slot = loc
-            b.kids[v][slot] = EMPTY
+            b.kids[v][slot[2]] = EMPTY
             if signs[v] == -1 and b.kids[v] == [EMPTY, EMPTY]:
                 b.kids[v] = None
-        status = b.node_status(v)
-        if status == "plain":
-            raise MembershipError(f"parent {v} of {j} has no empty slot after peeling")
-        records[j] = ("child", v, status)
+        records[j] = record(b, j, slot)
     if list(b.colors) != [1] or b.root_child[1] != EMPTY:
         raise MembershipError("peeling did not terminate at a single root 1")
     return records
+
+
+def _type1_record(b: _Builder, j: int, slot) -> tuple:
+    v = slot[1]
+    status = b.node_status(v)
+    if status == "plain":
+        raise MembershipError(f"parent {v} of {j} has no empty slot after peeling")
+    return ("child", v, status)
 
 
 # -- phi2: type-II Simsun -> forests -------------------------------------
@@ -399,7 +383,7 @@ def phi2_inv(forest, trace: bool = False):
     n = len(b.colors) + len(b.kids)
     signs = _b1_signs(b, n)
     root_colors = dict(b.colors)
-    records = _peel_type2(b, signs, n)
+    records = _peel(b, signs, n, _type2_record)
     word = [signs[1] * 1]
     steps = [("root", 1)]
     for j in range(2, n + 1):
@@ -433,39 +417,14 @@ def phi2_inv(forest, trace: bool = False):
     return (out, steps) if trace else out
 
 
-def _peel_type2(b: _Builder, signs: dict, n: int) -> dict:
-    records = {}
-    for j in range(n, 1, -1):
-        if j in b.colors:
-            del b.colors[j]
-            del b.root_child[j]
-            records[j] = ("root",)
-            continue
-        loc = b.parent_of(j)
-        if loc is None:
-            raise MembershipError(f"node {j} is unreachable")
-        del b.kids[j]
-        if loc[0] == "root":
-            v = loc[1]
-            b.root_child[v] = EMPTY
-            slot = ("root", v)
-        else:
-            _, v, i = loc
-            b.kids[v][i] = EMPTY
-            if signs[v] == -1 and b.kids[v] == [EMPTY, EMPTY]:
-                b.kids[v] = None
-            slot = ("kid", v, i)
-        status = b.node_status(v)
-        if status == "terminal":
-            records[j] = ("terminal", v)
-        else:
-            slots = b.singular_slots()
-            if slot not in slots:
-                raise MembershipError(f"vacated slot of {j} is not singular", step=j)
-            records[j] = ("singular", slots.index(slot))
-    if list(b.colors) != [1] or b.root_child[1] != EMPTY:
-        raise MembershipError("peeling did not terminate at a single root 1")
-    return records
+def _type2_record(b: _Builder, j: int, slot) -> tuple:
+    v = slot[1]
+    if b.node_status(v) == "terminal":
+        return ("terminal", v)
+    slots = b.singular_slots()
+    if slot not in slots:
+        raise MembershipError(f"vacated slot of {j} is not singular", step=j)
+    return ("singular", slots.index(slot))
 
 
 # -- tree-valued variants -------------------------------------------------
@@ -490,7 +449,7 @@ def phi1_d(window):
         raise MembershipError("phi1_d: input not in rsi-d (size >= 2)")
     k = abs(w[-1])
     tree = phi1_b(shrink_last_entry(w))
-    return _label_rightmost_leaf(_lift_labels(tree, k), k)
+    return _label_rightmost_leaf(_shift_labels(tree, k, 1), k)
 
 
 def phi1_d_inv(tree):
@@ -500,7 +459,8 @@ def phi1_d_inv(tree):
     k = rmlab(tree)
     if k < 2:
         raise MembershipError("phi1_d_inv: rightmost label must be >= 2")
-    return expand_last_entry(phi1_b_inv(_drop_labels(_unlabel_rightmost_leaf(tree, k), k)), k)
+    tree = _shift_labels(_unlabel_rightmost_leaf(tree, k), k + 1, -1)
+    return expand_last_entry(phi1_b_inv(tree), k)
 
 
 def phi2_b(window):
@@ -527,7 +487,7 @@ def phi2_d(window):
     if not aug or aug[-1] >= k:
         raise MembershipError("phi2_d: shrunk window lacks a smaller augmenting anchor")
     tree = phi2_b(shrunk)
-    return _label_rightmost_leaf(_lift_labels(tree, k), k)
+    return _label_rightmost_leaf(_shift_labels(tree, k, 1), k)
 
 
 def phi2_d_inv(tree):
@@ -537,27 +497,8 @@ def phi2_d_inv(tree):
     k = rmlab(tree)
     if k < 2:
         raise MembershipError("phi2_d_inv: rightmost label must be >= 2")
-    return expand_first_entry(phi2_b_inv(_drop_labels(_unlabel_rightmost_leaf(tree, k), k)), k)
-
-
-def _lift_labels(tree, k: int):
-    """Shift labels >= k up by one."""
-    if tree == EMPTY:
-        return tree
-    v = tree[0] + 1 if tree[0] >= k else tree[0]
-    if len(tree) == 1:
-        return (v,)
-    return (v, _lift_labels(tree[1], k), _lift_labels(tree[2], k))
-
-
-def _drop_labels(tree, k: int):
-    """Shift labels > k down by one (slot for k must already be gone)."""
-    if tree == EMPTY:
-        return tree
-    v = tree[0] - 1 if tree[0] > k else tree[0]
-    if len(tree) == 1:
-        return (v,)
-    return (v, _drop_labels(tree[1], k), _drop_labels(tree[2], k))
+    tree = _shift_labels(_unlabel_rightmost_leaf(tree, k), k + 1, -1)
+    return expand_first_entry(phi2_b_inv(tree), k)
 
 
 def _label_rightmost_leaf(tree, k: int):
@@ -588,34 +529,13 @@ def _inc(v: int) -> int:
     return v + 1 if v > 0 else v - 1
 
 
-def _rl_min_positions(w) -> list[int]:
-    out = []
-    m = None
-    for i in range(len(w) - 1, -1, -1):
-        if m is None or abs(w[i]) < m:
-            m = abs(w[i])
-            out.append(i)
-    return out[::-1]
-
-
-def _aug_positions(w) -> list[int]:
-    out = []
-    suffix_min = None
-    for i in range(len(w) - 1, -1, -1):
-        if w[i] > 0 and (suffix_min is None or w[i] < suffix_min):
-            out.append(i)
-        a = abs(w[i])
-        suffix_min = a if suffix_min is None else min(suffix_min, a)
-    return out[::-1]
-
-
 def zeta1(window) -> tuple[int, ...]:
     """Slide entries along right-to-left minima and drop the entry 1."""
     w = check_window(window)
     _require_family(w, "adi", "zeta1")
     if len(w) < 2:
         raise MembershipError("zeta1 needs size >= 2")
-    mins = _rl_min_positions(w)
+    mins = _rl_min_positions([abs(x) for x in w])
     if w[mins[0]] != 1 or mins[-1] != len(w) - 1:
         raise MembershipError("zeta1: minima structure violated")
     rank = {p: c for c, p in enumerate(mins)}
@@ -629,7 +549,7 @@ def zeta1(window) -> tuple[int, ...]:
 def zeta1_inv(window) -> tuple[int, ...]:
     w = check_window(window)
     _require_family(w, "rsi", "zeta1_inv")
-    mins = _rl_min_positions(w)
+    mins = _rl_min_positions([abs(x) for x in w])
     out = [_inc(v) for v in w] + [_inc(w[mins[-1]])]
     out[mins[0]] = 1
     for c in range(1, len(mins)):
@@ -649,7 +569,7 @@ def zeta2(window) -> tuple[int, ...]:
     w = check_window(window)
     if len(w) < 2:
         raise MembershipError("zeta2 needs size >= 2")
-    aug = _aug_positions(w)
+    aug = [w.index(x) for x in augmenting_elements(w)]
     if not aug or w[aug[0]] != 1:
         raise MembershipError("zeta2: the entry 1 must be augmenting")
     if len(aug) == 1:
@@ -668,7 +588,7 @@ def zeta2(window) -> tuple[int, ...]:
 
 def zeta2_inv(window) -> tuple[int, ...]:
     w = check_window(window)
-    aug = _aug_positions(w)
+    aug = [w.index(x) for x in augmenting_elements(w)]
     if not aug:
         return tuple(_inc(v) for v in w) + (1,)
     out = [_inc(v) for v in w] + [w[aug[-1]] + 1]

@@ -64,18 +64,6 @@ def _parse_window(obj):
     return check_window(obj)
 
 
-def _window_out(w):
-    return list(w)
-
-
-def _tree_in(obj):
-    return tree_from_json(obj)
-
-
-def _forest_in(obj):
-    return forest_from_json(obj)
-
-
 def _with_case(fn):
     def wrapped(x, trace=False):
         out, case = fn(x)
@@ -93,29 +81,29 @@ def _no_trace(fn):
 # name -> (forward, inverse, forward input, forward output, inverse input, inverse output)
 BIJECTIONS = {
     "gamma": (_no_trace(tree_to_snake), _no_trace(snake_to_tree),
-              _tree_in, _window_out, _parse_window, tree_to_word_json),
+              tree_from_json, list, _parse_window, tree_to_word_json),
     "mu": (_no_trace(tree_to_forest), _no_trace(forest_to_tree),
-           _tree_in, forest_to_json, _forest_in, tree_to_word_json),
-    "phi1": (phi1, phi1_inv, _parse_window, forest_to_json, _forest_in, _window_out),
-    "phi2": (phi2, phi2_inv, _parse_window, forest_to_json, _forest_in, _window_out),
+           tree_from_json, forest_to_json, forest_from_json, tree_to_word_json),
+    "phi1": (phi1, phi1_inv, _parse_window, forest_to_json, forest_from_json, list),
+    "phi2": (phi2, phi2_inv, _parse_window, forest_to_json, forest_from_json, list),
     "phi1-b": (_no_trace(phi1_b), _no_trace(phi1_b_inv),
-               _parse_window, tree_to_word_json, _tree_in, _window_out),
+               _parse_window, tree_to_word_json, tree_from_json, list),
     "phi1-d": (_no_trace(phi1_d), _no_trace(phi1_d_inv),
-               _parse_window, tree_to_word_json, _tree_in, _window_out),
+               _parse_window, tree_to_word_json, tree_from_json, list),
     "phi2-b": (_no_trace(phi2_b), _no_trace(phi2_b_inv),
-               _parse_window, tree_to_word_json, _tree_in, _window_out),
+               _parse_window, tree_to_word_json, tree_from_json, list),
     "phi2-d": (_no_trace(phi2_d), _no_trace(phi2_d_inv),
-               _parse_window, tree_to_word_json, _tree_in, _window_out),
+               _parse_window, tree_to_word_json, tree_from_json, list),
     "zeta1": (_no_trace(zeta1), _no_trace(zeta1_inv),
-              _parse_window, _window_out, _parse_window, _window_out),
+              _parse_window, list, _parse_window, list),
     "zeta2": (_no_trace(zeta2), _no_trace(zeta2_inv),
-              _parse_window, _window_out, _parse_window, _window_out),
+              _parse_window, list, _parse_window, list),
     "psi-star": (_with_case(psi_star), _with_case(psi_star_inv),
-                 _tree_in, tree_to_word_json, _tree_in, tree_to_word_json),
+                 tree_from_json, tree_to_word_json, tree_from_json, tree_to_word_json),
     "psi-circ": (_with_case(psi_circ), _with_case(psi_circ_inv),
-                 _tree_in, tree_to_word_json, _tree_in, tree_to_word_json),
+                 tree_from_json, tree_to_word_json, tree_from_json, tree_to_word_json),
     "psi-cap": (_no_trace(psi_cap), _no_trace(psi_cap_inv),
-                _tree_in, tree_to_word_json, _tree_in, tree_to_word_json),
+                tree_from_json, tree_to_word_json, tree_from_json, tree_to_word_json),
 }
 
 

@@ -82,13 +82,17 @@ def last_root(forest) -> int:
     return forest[-1][1]
 
 
+def _arranged_key(color, root: int) -> tuple:
+    """Sort key of the arranged order: black roots decreasing, then
+    white roots increasing."""
+    return (color == WHITE, root if color == WHITE else -root)
+
+
 def arranged_components(forest) -> tuple:
     """Presentation order used by the type-II insertion algorithm:
     black components left in decreasing root order, then white ones in
     increasing root order."""
-    black = [c for c in forest if c[0] == BLACK]
-    white = [c for c in forest if c[0] == WHITE]
-    return tuple(sorted(black, key=lambda c: -c[1]) + sorted(white, key=lambda c: c[1]))
+    return tuple(sorted(forest, key=lambda c: _arranged_key(c[0], c[1])))
 
 
 # -- enumeration --------------------------------------------------------

@@ -25,8 +25,7 @@ from typing import Iterable
 
 from .forests import BLACK, emp_forest, enumerate_forests
 from .polynomials import LaurentPoly
-from .trees import (EMPTY, _labels, emp, enumerate_trees, is_empty, is_leaf,
-                    validate_tree)
+from .trees import EMPTY, emp, enumerate_trees, is_empty, is_leaf, validate_tree
 
 
 @dataclass(frozen=True)
@@ -208,46 +207,42 @@ def qpoly_R(n: int) -> BiPoly:
 
 # -- combinatorial weights ------------------------------------------------
 
-def _preorder(node, out):
+def _slots(node, parent, out):
+    """Append the ``(label or EMPTY, parent label)`` slots of a subtree in
+    preorder."""
     if is_empty(node):
-        out.append(EMPTY)
+        out.append((EMPTY, parent))
         return
-    out.append(node[0])
+    out.append((node[0], parent))
     if not is_leaf(node):
-        _preorder(node[1], out)
-        _preorder(node[2], out)
+        _slots(node[1], node[0], out)
+        _slots(node[2], node[0], out)
 
 
-def _peel_once(node, j: int):
-    """Replace the node labelled j (necessarily childless or with empty
-    children) by an empty leaf."""
-    if is_empty(node):
-        return node
-    if node[0] == j:
-        return EMPTY
-    if is_leaf(node):
-        return node
-    return (node[0], _peel_once(node[1], j), _peel_once(node[2], j))
+def _step_weights(slots) -> list[int]:
+    """Empty leaves read before each label j (index j) once every label
+    > j is peeled.  Those leaves are exactly the slots read before j
+    whose parent is a label <= j and that hold EMPTY or a label > j, so
+    one scan counts them without rebuilding the object."""
+    n = sum(x != EMPTY for x, _ in slots)
+    out = [0] * (n + 1)
+    cover = [0] * (n + 1)  # cover[j]: slots read so far that count for j
+    for x, parent in slots:
+        if x != EMPTY:
+            out[x] = cover[x]
+        if parent is not None:
+            for j in range(parent, n + 1 if x == EMPTY else x):
+                cover[j] += 1
+    return out
 
 
 def tree_step_weights(tree) -> tuple[int, ...]:
     """c_j = empty leaves read before the node labelled j, in the tree
     peeled down to labels <= j."""
-    n = validate_tree(tree)
-    out = [0] * (n + 1)
-    cur = tree
-    for j in range(n, 0, -1):
-        order = []
-        _preorder(cur, order)
-        seen = 0
-        for x in order:
-            if x == j:
-                break
-            if x == EMPTY:
-                seen += 1
-        out[j] = seen
-        cur = _peel_once(cur, j)
-    return tuple(out[1:])
+    validate_tree(tree)
+    slots = []
+    _slots(tree, None, slots)
+    return tuple(_step_weights(slots)[1:])
 
 
 def weight_tree(tree) -> int:
@@ -258,33 +253,14 @@ def forest_step_weights(forest) -> tuple[int, ...]:
     """d_j = empty leaves read before the node labelled j (components in
     root order, roots read before their subtrees), plus one when j is a
     black root."""
-    comps = list(forest)
-    n = sum(1 + len(_labels(c)) for _, _, c in comps)
-    out = [0] * (n + 1)
-    for j in range(n, 0, -1):
-        order = []
-        for color, root, child in comps:
-            order.append(root)
-            _preorder(child, order)
-        seen = 0
-        for x in order:
-            if x == j:
-                break
-            if x == EMPTY:
-                seen += 1
-        bonus = any(root == j and color == BLACK for color, root, _ in comps)
-        out[j] = seen + (1 if bonus else 0)
-        comps = _peel_forest(comps, j)
+    slots = []
+    for _, root, child in forest:
+        slots.append((root, None))
+        _slots(child, root, slots)
+    out = _step_weights(slots)
+    for color, root, _ in forest:
+        out[root] += color == BLACK
     return tuple(out[1:])
-
-
-def _peel_forest(comps, j):
-    out = []
-    for color, root, child in comps:
-        if root == j:
-            continue
-        out.append((color, root, _peel_once(child, j) if not is_empty(child) else child))
-    return out
 
 
 def weight_forest(forest) -> int:

@@ -164,7 +164,7 @@ def word_sort_key(word) -> tuple:
     return tuple(0 if x == EMPTY else x for x in word)
 
 
-# -- mutable node-map form (used by the structural maps) ----------------
+# -- mutable node-map form (the psi maps, and bijections._Builder) -------
 
 def tree_nodes(tree):
     """Return (root_label, nodes) with nodes[k] = None | [left, right],

@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -232,3 +235,77 @@ def test_shared_parser_matches_a_fresh_parser_per_call(capsys, monkeypatch):
     fresh = _run_sequence(capsys)
     assert shared == fresh
     assert [r[0] for r in shared] == [0, 0, 0, 0, 2, 0, 0, 2, 0]
+
+
+# stdout and exit code of every example in the README "Command line"
+# block, with the `elapsed` field of a verify report masked.  The bare
+# `verify` runs the whole suite (about 50 s) and is left out.
+README_EXAMPLES = {
+    ('triangle', '--kind', 'arnold', '--n', '6', '--format', 'csv'): (
+        0,
+        'n\\k,-6,-5,-4,-3,-2,-1,1,2,3,4,5,6\r\n'
+        '1,,,,,,1,1,,,,,\r\n'
+        '2,,,,,0,1,1,2,,,,\r\n'
+        '3,,,,0,2,3,3,4,4,,,\r\n'
+        '4,,,0,4,8,11,11,14,16,16,,\r\n'
+        '5,,0,16,32,46,57,57,68,76,80,80,\r\n'
+        '6,0,80,160,236,304,361,361,418,464,496,512,512\r\n'),
+    ('triangle', '--kind', 'arnold-poly', '--n', '5'): (
+        0,
+        '{"n":5,"rows":[{"k":-5,"value":{"coeffs":[],"min_exp":0}},{"k":-'
+        '4,"value":{"coeffs":[2,0,8,0,6],"min_exp":0}},{"k":-3,"value":{"'
+        'coeffs":[4,0,16,0,12],"min_exp":0}},{"k":-2,"value":{"coeffs":[5'
+        ',0,23,0,18],"min_exp":0}},{"k":-1,"value":{"coeffs":[5,0,28,0,24'
+        '],"min_exp":0}},{"k":1,"value":{"coeffs":[5,0,28,0,24],"min_exp"'
+        ':2}},{"k":2,"value":{"coeffs":[10,0,34,0,24],"min_exp":2}},{"k":'
+        '3,"value":{"coeffs":[14,0,38,0,24],"min_exp":2}},{"k":4,"value":'
+        '{"coeffs":[16,0,40,0,24],"min_exp":2}},{"k":5,"value":{"coeffs":'
+        '[16,0,40,0,24],"min_exp":2}}]}\n'),
+    ('family', '--name', 'rsi-d', '--n', '3'): (
+        0,
+        '{"count":5,"family":"rsi-d","members":[[-3,1,-2],[-2,1,-3],[1,2,'
+        '-3],[2,1,-3],[3,1,-2]],"n":3}\n'),
+    ('family', '--name', 'snakes', '--n', '3', '--anchor', 'first', '--value', '2'): (
+        0,
+        '{"count":4,"family":"snakes","members":[[2,-3,-1],[2,-3,1],[2,-1'
+        ',3],[2,1,3]],"n":3}\n'),
+    ('poly', '--which', 'Q', '--n', '4'): (
+        0,
+        '{"coeffs":[5,0,28,0,24],"min_exp":0}\n'),
+    ('poly', '--which', 'R', '--n', '3', '--q'): (
+        0,
+        '{"t":[[],[2,5,5,3,1],[],[1,3,5,6,5,3,1]]}\n'),
+    ('bijection', '--name', 'zeta2', '--input', '[4,-2,1,3,8,5,9,-7,6]'): (
+        0,
+        '[3,-1,2,4,7,5,8,-6]\n'),
+    ('bijection', '--name', 'phi1', '--input', '[2,8,-3,4,-7,1,-6,-5]', '--trace'): (
+        0,
+        '{"result":{"components":[{"child":{"label":2,"left":"empty","rig'
+        'ht":{"label":3,"left":{"label":4,"left":"empty","right":{"leaf":'
+        '7}},"right":{"label":8,"left":"empty","right":"empty"}}},"color"'
+        ':"white","root":1},{"child":{"leaf":6},"color":"black","root":5}'
+        ']},"trace":[["i","new-root","1"],["ii","fill-intermediate","1"],'
+        '["iii","attach-at-peak","2"],["iii","attach-at-peak","-3"],["i",'
+        '"new-root","5"],["ii","fill-intermediate","5"],["iii","attach-at'
+        '-peak","4"],["ii","fill-intermediate","3"]]}\n'),
+    ('verify', '--check', 'thm-2-10', '--n-max', '5'): (
+        0,
+        '[{"check_id":"thm-2-10","counterexample":null,"elapsed":0,"n_ran'
+        'ge":[1,5],"status":"pass"}]\n'),
+}
+
+
+def readme_commands():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [tuple(shlex.split(line, comments=True)[1:]) for line in block.strip().splitlines()]
+
+
+def test_readme_command_line_examples(capsys):
+    commands = readme_commands()
+    commands.remove(("verify",))
+    assert sorted(commands) == sorted(README_EXAMPLES)
+    for argv in commands:
+        code, out, _ = run(capsys, *argv)
+        out = re.sub(r'"elapsed":[0-9.e-]+', '"elapsed":0', out)
+        assert (code, out) == README_EXAMPLES[argv], argv

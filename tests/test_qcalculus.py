@@ -1,16 +1,18 @@
 """Operators D and U, the q-polynomial families, and object weights."""
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from snake_atlas import fixtures as fx
-from snake_atlas.forests import enumerate_forests
+from snake_atlas.forests import BLACK, WHITE, enumerate_forests, validate_forest
 from snake_atlas.qcalculus import (BiPoly, Operator, QPoly, forest_step_weights,
                                    op_D, op_U, qpoly_P, qpoly_Q, qpoly_R,
                                    tree_step_weights, weight_forest,
                                    weight_tree, weighted_sum_forests,
                                    weighted_sum_trees)
-from snake_atlas.trees import enumerate_trees
+from snake_atlas.trees import EMPTY, enumerate_trees, nodes_to_tree, validate_tree
 from snake_atlas.triangles import hoffman_P, hoffman_Q, hoffman_R
 
 
@@ -107,3 +109,122 @@ def test_bipoly_json_round_trip():
     f = qpoly_R(3)
     assert BiPoly.from_json(f.to_json()) == f
     assert qpoly_Q(2).to_json() == {"t": [[1], [], [1, 1]]}
+
+
+# -- the step weights against peel-and-rescan -----------------------------
+# The reference peels the object label by label, rebuilding it, and reads
+# the empty leaves before each label in a fresh preorder scan.
+
+def _ref_preorder(node, out):
+    if node == EMPTY:
+        out.append(EMPTY)
+        return
+    out.append(node[0])
+    if len(node) == 3:
+        _ref_preorder(node[1], out)
+        _ref_preorder(node[2], out)
+
+
+def _ref_peel_once(node, j):
+    if node == EMPTY:
+        return node
+    if node[0] == j:
+        return EMPTY
+    if len(node) == 1:
+        return node
+    return (node[0], _ref_peel_once(node[1], j), _ref_peel_once(node[2], j))
+
+
+def _ref_empties_before(order, j):
+    seen = 0
+    for x in order:
+        if x == j:
+            break
+        if x == EMPTY:
+            seen += 1
+    return seen
+
+
+def ref_tree_step_weights(tree):
+    order = []
+    _ref_preorder(tree, order)
+    n = len(order) - order.count(EMPTY)
+    out = [0] * (n + 1)
+    cur = tree
+    for j in range(n, 0, -1):
+        order = []
+        _ref_preorder(cur, order)
+        out[j] = _ref_empties_before(order, j)
+        cur = _ref_peel_once(cur, j)
+    return tuple(out[1:])
+
+
+def _ref_forest_order(comps):
+    order = []
+    for _, root, child in comps:
+        order.append(root)
+        _ref_preorder(child, order)
+    return order
+
+
+def ref_forest_step_weights(forest):
+    comps = list(forest)
+    order = _ref_forest_order(comps)
+    n = len(order) - order.count(EMPTY)
+    out = [0] * (n + 1)
+    for j in range(n, 0, -1):
+        bonus = any(root == j and color == BLACK for color, root, _ in comps)
+        out[j] = _ref_empties_before(_ref_forest_order(comps), j) + bonus
+        comps = [(color, root, _ref_peel_once(child, j))
+                 for color, root, child in comps if root != j]
+    return tuple(out[1:])
+
+
+def grown_tree(rng, n):
+    """A random complete increasing tree on 1..n: each label k in turn
+    fills an empty slot or hangs under a labelled leaf, as a labelled
+    leaf or with two empty leaves."""
+    nodes = {1: rng.choice((None, [EMPTY, EMPTY]))}
+    for k in range(2, n + 1):
+        v, i = rng.choice([(v, i) for v, kids in nodes.items() for i in (0, 1)
+                           if kids is None or kids[i] == EMPTY])
+        if nodes[v] is None:
+            nodes[v] = [EMPTY, EMPTY]
+        nodes[v][i] = k
+        nodes[k] = rng.choice((None, [EMPTY, EMPTY]))
+    return nodes_to_tree(1, nodes)
+
+
+def grown_forest(rng, n, white_only):
+    """Cut a random tree along its rightmost path and color the roots."""
+    comps, node = [], grown_tree(rng, n)
+    while node != EMPTY:
+        color = WHITE if white_only else rng.choice((BLACK, WHITE))
+        comps.append((color, node[0], EMPTY if len(node) == 1 else node[1]))
+        node = EMPTY if len(node) == 1 else node[2]
+    return tuple(comps)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_tree_step_weights_match_peel_and_rescan(n):
+    for t in enumerate_trees(n):
+        assert tree_step_weights(t) == ref_tree_step_weights(t), t
+
+
+@pytest.mark.parametrize("white_only", [False, True])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_forest_step_weights_match_peel_and_rescan(n, white_only):
+    for f in enumerate_forests(n, white_only=white_only):
+        assert forest_step_weights(f) == ref_forest_step_weights(f), f
+
+
+def test_step_weights_match_peel_and_rescan_at_large_n():
+    rng = random.Random(20211)
+    for _ in range(100):
+        n = rng.randint(20, 40)
+        t = grown_tree(rng, n)
+        assert validate_tree(t) == n
+        assert tree_step_weights(t) == ref_tree_step_weights(t), t
+        f = grown_forest(rng, n, white_only=rng.random() < 0.5)
+        assert validate_forest(f) == n
+        assert forest_step_weights(f) == ref_forest_step_weights(f), f

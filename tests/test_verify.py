@@ -69,3 +69,32 @@ def test_ceiling_error_is_a_report_status(monkeypatch):
     reports = run_all(3)
     assert len(reports) == len(verify.CHECKS) == 25
     assert "thm-4-5" in [r.check_id for r in reports if r.status == "error"]
+
+
+# Each bijection check, with its inverse made wrong on one window: the
+# round trip must catch it.  The checks read the maps from the module
+# globals of `verify` when they run, so patching the name reaches them.
+WRONG_INVERSES = [
+    ("prop-4-2", "phi1_inv", (2, -3, 1)),
+    ("prop-4-5", "phi1_d_inv", (2, 1, -3)),
+    ("thm-4-5", "zeta1_inv", (3, 1, -2)),
+    ("prop-5-1", "phi2_inv", (3, -1, 2)),
+    ("prop-5-3", "phi2_d_inv", (-3, 2, 1)),
+    ("thm-5-4", "zeta2_inv", (-2, 1, 3)),
+]
+
+
+@pytest.mark.parametrize("check_id, inverse, w", WRONG_INVERSES)
+def test_bijection_check_fails_on_a_wrong_inverse(monkeypatch, check_id, inverse, w):
+    right = getattr(verify, inverse)
+
+    def wrong(x):
+        out = right(x)
+        return out[::-1] if out == w else out
+
+    assert run_check(check_id, 3).status == "pass"
+    monkeypatch.setattr(verify, inverse, wrong)
+    r = run_check(check_id, 3)
+    assert r.status == "fail"
+    assert r.counterexample == {"inputs": f"round trip {w}", "expected": str(w),
+                                "actual": str(w[::-1])}
