@@ -6,9 +6,12 @@ triangle predictions and reports how the two insertion bijections
 distribute empty-leaf counts.  Useful for eyeballing how the refined
 families tile the signed triangle."""
 import argparse
+import sys
 from collections import Counter
 
 from snake_atlas.bijections import phi1, phi2
+from snake_atlas.cli import EXIT_CEILING, _int_at_least
+from snake_atlas.errors import LimitError
 from snake_atlas.forests import emp_forest
 from snake_atlas.permutations import enumerate_family
 from snake_atlas.triangles import arnold
@@ -16,10 +19,18 @@ from snake_atlas.triangles import arnold
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n", type=int, default=5)
+    parser.add_argument("--n", type=_int_at_least(1), default=5)
     args = parser.parse_args()
+    try:
+        census(args.n)
+    except LimitError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_CEILING
+    return 0
 
-    for n in range(1, args.n + 1):
+
+def census(n_max):
+    for n in range(1, n_max + 1):
         tri = arnold(n)
         print(f"\nsize {n}")
         for fam, anchor in (("rsi-b", "last"), ("rsii-b", "gae")):
@@ -34,4 +45,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -521,12 +521,36 @@ def _unlabel_rightmost_leaf(tree, k: int):
 
 # -- zeta maps -------------------------------------------------------------
 
-def _dec(v: int) -> int:
-    return v - 1 if v > 0 else v + 1
-
-
 def _inc(v: int) -> int:
     return v + 1 if v > 0 else v - 1
+
+
+def _slide(w, marks) -> tuple[int, ...]:
+    """Drop the last position; each marked position takes the entry of
+    the next mark (the last mark must be the last position), and every
+    entry moves one step towards zero."""
+    nxt = dict(zip(marks, marks[1:]))
+    slid = (w[nxt.get(p, p)] for p in range(len(w) - 1))
+    return tuple(v - 1 if v > 0 else v + 1 for v in slid)
+
+
+def _unslide(w, marks) -> tuple[int, ...]:
+    """Inverse of ``_slide``: append a position, move each marked entry
+    to the next mark (the last one to the appended position), put 1 at
+    the first mark (the appended position when there is none), and move
+    every entry one step away from zero."""
+    ext = marks + [len(w)]
+    out = [_inc(v) for v in w] + [1]
+    for p, q in zip(ext, ext[1:]):
+        out[q] = _inc(w[p])
+    out[ext[0]] = 1
+    return tuple(out)
+
+
+def _augmenting_positions(w) -> list[int]:
+    """Positions of the augmenting entries: positive right-to-left minima
+    of the absolute word."""
+    return [p for p in _rl_min_positions([abs(x) for x in w]) if w[p] > 0]
 
 
 def zeta1(window) -> tuple[int, ...]:
@@ -536,25 +560,15 @@ def zeta1(window) -> tuple[int, ...]:
     if len(w) < 2:
         raise MembershipError("zeta1 needs size >= 2")
     mins = _rl_min_positions([abs(x) for x in w])
-    if w[mins[0]] != 1 or mins[-1] != len(w) - 1:
+    if w[mins[0]] != 1:
         raise MembershipError("zeta1: minima structure violated")
-    rank = {p: c for c, p in enumerate(mins)}
-    out = []
-    for p in range(len(w) - 1):
-        src = w[mins[rank[p] + 1]] if p in rank else w[p]
-        out.append(_dec(src))
-    return tuple(out)
+    return _slide(w, mins)
 
 
 def zeta1_inv(window) -> tuple[int, ...]:
     w = check_window(window)
     _require_family(w, "rsi", "zeta1_inv")
-    mins = _rl_min_positions([abs(x) for x in w])
-    out = [_inc(v) for v in w] + [_inc(w[mins[-1]])]
-    out[mins[0]] = 1
-    for c in range(1, len(mins)):
-        out[mins[c]] = _inc(w[mins[c - 1]])
-    return tuple(out)
+    return _unslide(w, _rl_min_positions([abs(x) for x in w]))
 
 
 def zeta2(window) -> tuple[int, ...]:
@@ -569,30 +583,15 @@ def zeta2(window) -> tuple[int, ...]:
     w = check_window(window)
     if len(w) < 2:
         raise MembershipError("zeta2 needs size >= 2")
-    aug = [w.index(x) for x in augmenting_elements(w)]
+    aug = _augmenting_positions(w)
     if not aug or w[aug[0]] != 1:
         raise MembershipError("zeta2: the entry 1 must be augmenting")
-    if len(aug) == 1:
-        if w[-1] != 1:
-            raise MembershipError("zeta2: single augmenting entry must close the window")
-        return tuple(_dec(v) for v in w[:-1])
     if aug[-1] != len(w) - 1:
-        raise MembershipError("zeta2: last entry must be augmenting")
-    rank = {p: c for c, p in enumerate(aug)}
-    out = []
-    for p in range(len(w) - 1):
-        src = w[aug[rank[p] + 1]] if p in rank else w[p]
-        out.append(_dec(src))
-    return tuple(out)
+        raise MembershipError("zeta2: single augmenting entry must close the window"
+                              if len(aug) == 1 else "zeta2: last entry must be augmenting")
+    return _slide(w, aug)
 
 
 def zeta2_inv(window) -> tuple[int, ...]:
     w = check_window(window)
-    aug = [w.index(x) for x in augmenting_elements(w)]
-    if not aug:
-        return tuple(_inc(v) for v in w) + (1,)
-    out = [_inc(v) for v in w] + [w[aug[-1]] + 1]
-    out[aug[0]] = 1
-    for c in range(1, len(aug)):
-        out[aug[c]] = w[aug[c - 1]] + 1
-    return tuple(out)
+    return _unslide(w, _augmenting_positions(w))

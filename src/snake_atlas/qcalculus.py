@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
-from .forests import BLACK, emp_forest, enumerate_forests
+from .forests import BLACK, emp_forest, enumerate_forests, validate_forest
 from .polynomials import LaurentPoly
 from .trees import EMPTY, emp, enumerate_trees, is_empty, is_leaf, validate_tree
 
@@ -249,10 +249,8 @@ def weight_tree(tree) -> int:
     return sum(tree_step_weights(tree))
 
 
-def forest_step_weights(forest) -> tuple[int, ...]:
-    """d_j = empty leaves read before the node labelled j (components in
-    root order, roots read before their subtrees), plus one when j is a
-    black root."""
+def _forest_weights(forest) -> list[int]:
+    """d_j at index j (index 0 holds 0) of a valid forest."""
     slots = []
     for _, root, child in forest:
         slots.append((root, None))
@@ -260,7 +258,15 @@ def forest_step_weights(forest) -> tuple[int, ...]:
     out = _step_weights(slots)
     for color, root, _ in forest:
         out[root] += color == BLACK
-    return tuple(out[1:])
+    return out
+
+
+def forest_step_weights(forest) -> tuple[int, ...]:
+    """d_j = empty leaves read before the node labelled j (components in
+    root order, roots read before their subtrees), plus one when j is a
+    black root."""
+    validate_forest(forest)
+    return tuple(_forest_weights(forest)[1:])
 
 
 def weight_forest(forest) -> int:
@@ -286,5 +292,5 @@ def weighted_sum_trees(n: int, *, max_n=None) -> BiPoly:
 
 def weighted_sum_forests(n: int, *, white_only: bool = False, max_n=None) -> BiPoly:
     """Sum of q^weight t^emp over forests (all: R_n; white only: Q_n)."""
-    return _sum_monomials((weight_forest(f), emp_forest(f)) for f in
+    return _sum_monomials((sum(_forest_weights(f)), emp_forest(f)) for f in
                           enumerate_forests(n, white_only=white_only, max_n=max_n))

@@ -9,6 +9,7 @@ enumeration ceiling reports status "error" instead of aborting a run.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass
 
 from . import fixtures as fx
@@ -16,8 +17,7 @@ from .bijections import (phi1, phi1_d, phi1_d_inv, phi1_inv, phi2, phi2_d,
                          phi2_d_inv, phi2_inv, zeta1, zeta1_inv, zeta2,
                          zeta2_inv)
 from .errors import LimitError
-from .forests import (emp_forest, enumerate_forests, forest_sort_key,
-                      is_all_white, last_root)
+from .forests import emp_forest, enumerate_forests, is_all_white, last_root
 from .permutations import (enumerate_family, gae, is_member, npk, nva,
                            shrink_last_entry, subword)
 from .polynomials import LaurentPoly
@@ -26,7 +26,7 @@ from .qcalculus import (BiPoly, QPoly, forest_step_weights, qpoly_P, qpoly_Q,
                         weighted_sum_trees)
 from .trees import (emp, enumerate_trees, in_left_class, inorder_word,
                     is_starred, psi_cap, psi_cap_inv, psi_circ, psi_circ_inv,
-                    psi_star, psi_star_inv, rmlab, word_sort_key)
+                    psi_star, psi_star_inv, rmlab)
 from .triangles import (arnold, arnold_poly, entringer, gamma_arrays,
                         hoffman_P, hoffman_Q, hoffman_R,
                         hoffman_triangle_identity)
@@ -48,19 +48,62 @@ def _fail(inputs, expected, actual) -> dict:
     return {"inputs": inputs, "expected": str(expected), "actual": str(actual)}
 
 
-def _tpoly(exp: int) -> LaurentPoly:
-    return LaurentPoly.t_power(exp)
-
-
 def _family_poly(members, weight) -> LaurentPoly:
-    total = LaurentPoly.zero()
-    for w in members:
-        total = total + _tpoly(weight(w))
-    return total
+    """Sum of t^weight over ``members``, counted first."""
+    return LaurentPoly.from_terms(Counter(map(weight, members)))
 
 
-def _fixture_poly(d) -> LaurentPoly:
-    return LaurentPoly.from_terms(d)
+def _class_sums(trees) -> dict:
+    """Sums of t^emp over ``trees`` by class ``(starred, rmlab)``, counted
+    first."""
+    counts = {}
+    for t in trees:
+        counts.setdefault((is_starred(t), rmlab(t)), Counter())[emp(t)] += 1
+    return {key: LaurentPoly.from_terms(c) for key, c in counts.items()}
+
+
+def _bijection_fail(dom, fwd, inv, image_fail, cod, missing):
+    """Map each member of ``dom``, test its image with ``image_fail``
+    (a counterexample or None) and round-trip it through ``inv``; then
+    compare the images with ``cod`` as sets, returning ``missing`` when
+    they differ.  The round trips make the map injective on ``dom``, so
+    equal sets make it a bijection onto ``cod``."""
+    images = set()
+    for w in dom:
+        x = fwd(w)
+        bad = image_fail(w, x)
+        if bad:
+            return bad
+        back = inv(x)
+        if back != w:
+            return _fail(f"round trip {w}", w, back)
+        images.add(x)
+    return None if images == set(cod) else missing
+
+
+def _emp_transport(n: int, stat):
+    """Image test: the forest has n - 2*stat(w) empty leaves."""
+    def image_fail(w, f):
+        if emp_forest(f) != n - 2 * stat(w):
+            return _fail(f"emp transport {w}", n - 2 * stat(w), emp_forest(f))
+        return None
+    return image_fail
+
+
+def _member_of(cod, what: str):
+    """Image test: the word lies in the set ``cod``."""
+    def image_fail(w, v):
+        return None if v in cod else _fail(f"image of {w}", what, v)
+    return image_fail
+
+
+def _worked_example(fwd, inv, example):
+    a, b = example
+    if fwd(a) != b:
+        return _fail("worked example", b, fwd(a))
+    if inv(b) != a:
+        return _fail("worked example inverse", a, inv(b))
+    return None
 
 
 def _fixture_bipoly(d) -> BiPoly:
@@ -132,21 +175,19 @@ def check_eq_5(n_max: int):
                     return _fail(f"V({r},{k}) parity", f"exponents = {want_parity} mod 2", str(p))
     for r in range(1, min(n_max, 5) + 1):
         for k, terms in fx.V_TRIANGLE[r].items():
-            if tri.value(r, k) != _fixture_poly(terms):
-                return _fail(f"table cell ({r},{k})", _fixture_poly(terms), tri.value(r, k))
+            want = LaurentPoly.from_terms(terms)
+            if tri.value(r, k) != want:
+                return _fail(f"table cell ({r},{k})", want, tri.value(r, k))
     return None
 
 
 def check_thm_1_1(n_max: int):
     for n in range(1, n_max + 1):
         tri = arnold(n)
-        snakes = enumerate_family("snakes", n)
-        counts = {}
-        for w in snakes:
-            counts[w[0]] = counts.get(w[0], 0) + 1
+        counts = Counter(w[0] for w in enumerate_family("snakes", n))
         for k in tri.signed_columns(n):
-            if counts.get(k, 0) != tri.value(n, k):
-                return _fail(f"n={n}, first entry {k}", tri.value(n, k), counts.get(k, 0))
+            if counts[k] != tri.value(n, k):
+                return _fail(f"n={n}, first entry {k}", tri.value(n, k), counts[k])
     return None
 
 
@@ -178,18 +219,10 @@ def check_thm_2_2(n_max: int):
     return None
 
 
-def _tree_class_sums(n: int):
-    sums = {}
-    for t in enumerate_trees(n):
-        key = (is_starred(t), rmlab(t))
-        sums[key] = sums.get(key, LaurentPoly.zero()) + _tpoly(emp(t))
-    return sums
-
-
 def check_thm_2_3(n_max: int):
     for n in range(1, n_max + 1):
         tri = arnold_poly(n)
-        sums = _tree_class_sums(n)
+        sums = _class_sums(enumerate_trees(n))
         for k in range(1, n + 1):
             circ = sums.get((False, n - k + 1), LaurentPoly.zero())
             star = sums.get((True, n - k + 1), LaurentPoly.zero())
@@ -208,18 +241,29 @@ def check_thm_2_7(n_max: int):
     return None
 
 
+def _signed_cells(n: int, b_family: str, b_anchor: str, d_family: str,
+                  d_anchor: str, stat):
+    """Row n of the polynomial triangle from the refined Simsun families:
+    column k (B side) and -k (D side) from the members anchored at
+    n - k + 1 and -(n - k + 1)."""
+    tri = arnold_poly(n)
+    for k in range(1, n + 1):
+        b = _family_poly(enumerate_family(b_family, n, (b_anchor, n - k + 1)),
+                         lambda w: n + 1 - 2 * stat(w))
+        if b != tri.value(n, k):
+            return _fail(f"B-side n={n} k={k}", tri.value(n, k), b)
+        d = _family_poly(enumerate_family(d_family, n, (d_anchor, -(n - k + 1))),
+                         lambda w: n - 1 - 2 * stat(w))
+        if d != tri.value(n, -k):
+            return _fail(f"D-side n={n} k={k}", tri.value(n, -k), d)
+    return None
+
+
 def check_thm_2_10(n_max: int):
     for n in range(1, n_max + 1):
-        tri = arnold_poly(n)
-        for k in range(1, n + 1):
-            b = _family_poly(enumerate_family("rsi-b", n, ("last", n - k + 1)),
-                             lambda w: n + 1 - 2 * npk(w))
-            if b != tri.value(n, k):
-                return _fail(f"B-side n={n} k={k}", tri.value(n, k), b)
-            d = _family_poly(enumerate_family("rsi-d", n, ("last", -(n - k + 1))),
-                             lambda w: n - 1 - 2 * npk(w))
-            if d != tri.value(n, -k):
-                return _fail(f"D-side n={n} k={k}", tri.value(n, -k), d)
+        bad = _signed_cells(n, "rsi-b", "last", "rsi-d", "last", npk)
+        if bad:
+            return bad
     return None
 
 
@@ -228,16 +272,9 @@ def check_thm_2_13(n_max: int):
         got = _family_poly(enumerate_family("rsii", n), lambda w: n - 2 * nva(w))
         if got != hoffman_R(n):
             return _fail(f"R_{n} over type-II Simsun", hoffman_R(n), got)
-        tri = arnold_poly(n)
-        for k in range(1, n + 1):
-            b = _family_poly(enumerate_family("rsii-b", n, ("gae", n - k + 1)),
-                             lambda w: n + 1 - 2 * nva(w))
-            if b != tri.value(n, k):
-                return _fail(f"B-side n={n} k={k}", tri.value(n, k), b)
-            d = _family_poly(enumerate_family("rsii-d", n, ("first", -(n - k + 1))),
-                             lambda w: n - 1 - 2 * nva(w))
-            if d != tri.value(n, -k):
-                return _fail(f"D-side n={n} k={k}", tri.value(n, -k), d)
+        bad = _signed_cells(n, "rsii-b", "gae", "rsii-d", "first", nva)
+        if bad:
+            return bad
     return None
 
 
@@ -252,9 +289,10 @@ def check_conj_2_9(n_max: int):
 
 
 def check_prop_3_1(n_max: int):
+    sums = {}
     for n in range(1, n_max + 1):
-        sums = _tree_class_sums(n)
-        prev = _tree_class_sums(n - 1) if n >= 2 else {}
+        trees = enumerate_trees(n)
+        prev, sums = sums, _class_sums(trees)
         z = LaurentPoly.zero()
         for k in range(2, n + 1):
             lhs = sums.get((True, k), z)
@@ -271,7 +309,6 @@ def check_prop_3_1(n_max: int):
             if lhs != rhs:
                 return _fail(f"(iii) n={n} k={k}", rhs, lhs)
         # exhaustive bijectivity with round trips
-        trees = enumerate_trees(n)
         for t in trees:
             if is_starred(t):
                 if rmlab(t) >= 2:
@@ -291,17 +328,15 @@ def check_prop_3_1(n_max: int):
 
 
 def check_cor_3_2(n_max: int):
+    sums = _class_sums(enumerate_trees(1)) if n_max >= 2 else {}
+    z = LaurentPoly.zero()
     for n in range(2, n_max + 1):
-        sums = _tree_class_sums(n)
-        prev = _tree_class_sums(n - 1)
-        z = LaurentPoly.zero()
+        prev, sums = sums, _class_sums(enumerate_trees(n))
+        circ = z  # circ sums of size n - 1 at rmlab 1..k-1
         for k in range(2, n + 1):
-            rhs = z
-            for j in range(1, k):
-                rhs = rhs + prev.get((False, j), z)
-            rhs = rhs.shift(-1)
-            if sums.get((True, k), z) != rhs:
-                return _fail(f"n={n} k={k}", rhs, sums.get((True, k), z))
+            circ = circ + prev.get((False, k - 1), z)
+            if sums.get((True, k), z) != circ.shift(-1):
+                return _fail(f"n={n} k={k}", circ.shift(-1), sums.get((True, k), z))
     return None
 
 
@@ -317,20 +352,12 @@ def check_cor_3_3(n_max: int):
 def check_cor_3_4(n_max: int):
     for n in range(1, n_max + 1):
         g = gamma_arrays(n)
-        members = enumerate_family("gamma-snakes", n)
-        counts = {}
-        for w in members:
-            counts[w[0]] = counts.get(w[0], 0) + 1
+        counts = Counter(w[0] for w in enumerate_family("gamma-snakes", n))
         for k in g.signed_columns(n):
-            if counts.get(k, 0) != g.value(n, k)(1):
-                return _fail(f"n={n} first entry {k}", g.value(n, k)(1), counts.get(k, 0))
+            if counts[k] != g.value(n, k)(1):
+                return _fail(f"n={n} first entry {k}", g.value(n, k)(1), counts[k])
         # leftmost-leaf restriction matches the polynomial cells
-        sums = {}
-        for t in enumerate_trees(n):
-            if not in_left_class(t):
-                continue
-            key = (is_starred(t), rmlab(t))
-            sums[key] = sums.get(key, LaurentPoly.zero()) + _tpoly(emp(t))
+        sums = _class_sums(filter(in_left_class, enumerate_trees(n)))
         z = LaurentPoly.zero()
         for k in range(1, n + 1):
             if sums.get((False, n - k + 1), z) != g.value(n, k):
@@ -352,18 +379,11 @@ def check_eq_13(n_max: int):
 
 def check_prop_4_2(n_max: int):
     for n in range(1, n_max + 1):
-        dom = enumerate_family("rsi", n)
-        imgs = []
-        for w in dom:
-            f = phi1(w)
-            if emp_forest(f) != n - 2 * npk(w):
-                return _fail(f"emp transport {w}", n - 2 * npk(w), emp_forest(f))
-            if phi1_inv(f) != w:
-                return _fail(f"round trip {w}", w, phi1_inv(f))
-            imgs.append(f)
-        want = sorted(map(forest_sort_key, enumerate_forests(n)))
-        if sorted(map(forest_sort_key, imgs)) != want:
-            return _fail(f"image coverage n={n}", "all forests", "missing images")
+        bad = _bijection_fail(enumerate_family("rsi", n), phi1, phi1_inv,
+                              _emp_transport(n, npk), enumerate_forests(n),
+                              _fail(f"image coverage n={n}", "all forests", "missing images"))
+        if bad:
+            return bad
         for k in range(1, n + 1):
             for w in enumerate_family("rsi-b", n, ("last", k)):
                 f = phi1(w)
@@ -381,24 +401,30 @@ def check_prop_4_2(n_max: int):
     return None
 
 
-def check_prop_4_5(n_max: int):
+def _onto_star_trees(n_max: int, family: str, anchor: str, fwd, inv, stat):
+    """The ``-d`` map sends the members of ``family`` anchored at -k onto
+    the size-n star trees with rightmost label k, with n - 1 - 2*stat(w)
+    empty leaves."""
     for n in range(2, n_max + 1):
         for k in range(2, n + 1):
-            dom = enumerate_family("rsi-d", n, ("last", -k))
-            cod = enumerate_trees(n, starred=True, rightmost=k)
-            imgs = []
-            for w in dom:
-                t = phi1_d(w)
+            def image_fail(w, t):
                 if not is_starred(t) or rmlab(t) != k:
                     return _fail(f"class of {w}", f"star, rightmost {k}", t)
-                if emp(t) != n - 1 - 2 * npk(w):
-                    return _fail(f"emp of {w}", n - 1 - 2 * npk(w), emp(t))
-                if phi1_d_inv(t) != w:
-                    return _fail(f"round trip {w}", w, phi1_d_inv(t))
-                imgs.append(t)
-            if sorted(word_sort_key(inorder_word(t)) for t in imgs) != \
-                    sorted(word_sort_key(inorder_word(t)) for t in cod):
-                return _fail(f"coverage n={n} k={k}", "all star trees", "missing")
+                if emp(t) != n - 1 - 2 * stat(w):
+                    return _fail(f"emp of {w}", n - 1 - 2 * stat(w), emp(t))
+                return None
+            bad = _bijection_fail(enumerate_family(family, n, (anchor, -k)), fwd, inv,
+                                  image_fail, enumerate_trees(n, starred=True, rightmost=k),
+                                  _fail(f"coverage n={n} k={k}", "all star trees", "missing"))
+            if bad:
+                return bad
+    return None
+
+
+def check_prop_4_5(n_max: int):
+    bad = _onto_star_trees(n_max, "rsi-d", "last", phi1_d, phi1_d_inv, npk)
+    if bad:
+        return bad
     src, tgt = fx.TYPE1_D_EXAMPLE
     if shrink_last_entry(src) != tgt:
         return _fail("shrinking example", tgt, shrink_last_entry(src))
@@ -409,16 +435,10 @@ def check_thm_4_5(n_max: int):
     for n in range(1, n_max + 1):
         dom = enumerate_family("adi", n + 1)
         cod = set(enumerate_family("rsi", n))
-        imgs = set()
-        for w in dom:
-            v = zeta1(w)
-            if v not in cod:
-                return _fail(f"image of {w}", "type-I Simsun member", v)
-            if zeta1_inv(v) != w:
-                return _fail(f"round trip {w}", w, zeta1_inv(v))
-            imgs.add(v)
-        if imgs != cod:
-            return _fail(f"coverage n={n}", "all members", "missing")
+        bad = _bijection_fail(dom, zeta1, zeta1_inv, _member_of(cod, "type-I Simsun member"),
+                              cod, _fail(f"coverage n={n}", "all members", "missing"))
+        if bad:
+            return bad
         for k in range(1, n + 1):
             for w in enumerate_family("adi-b", n + 1, ("last", k + 1)):
                 if not is_member(zeta1(w), "rsi-b") or zeta1(w)[-1] != k:
@@ -426,28 +446,16 @@ def check_thm_4_5(n_max: int):
             for w in enumerate_family("adi-d", n + 1, ("last", -k - 1)):
                 if not is_member(zeta1(w), "rsi-d") or zeta1(w)[-1] != -k:
                     return _fail(f"D index of {w}", f"last entry {-k}", zeta1(w))
-    a, b = fx.ZETA1_EXAMPLE
-    if zeta1(a) != b:
-        return _fail("worked example", b, zeta1(a))
-    if zeta1_inv(b) != a:
-        return _fail("worked example inverse", a, zeta1_inv(b))
-    return None
+    return _worked_example(zeta1, zeta1_inv, fx.ZETA1_EXAMPLE)
 
 
 def check_prop_5_1(n_max: int):
     for n in range(1, n_max + 1):
-        dom = enumerate_family("rsii", n)
-        imgs = []
-        for w in dom:
-            f = phi2(w)
-            if emp_forest(f) != n - 2 * nva(w):
-                return _fail(f"emp transport {w}", n - 2 * nva(w), emp_forest(f))
-            if phi2_inv(f) != w:
-                return _fail(f"round trip {w}", w, phi2_inv(f))
-            imgs.append(f)
-        want = sorted(map(forest_sort_key, enumerate_forests(n)))
-        if sorted(map(forest_sort_key, imgs)) != want:
-            return _fail(f"image coverage n={n}", "all forests", "missing images")
+        bad = _bijection_fail(enumerate_family("rsii", n), phi2, phi2_inv,
+                              _emp_transport(n, nva), enumerate_forests(n),
+                              _fail(f"image coverage n={n}", "all forests", "missing images"))
+        if bad:
+            return bad
         for w in enumerate_family("rsii-b", n):
             f = phi2(w)
             if not is_all_white(f) or last_root(f) != gae(w):
@@ -462,40 +470,17 @@ def check_prop_5_1(n_max: int):
 
 
 def check_prop_5_3(n_max: int):
-    for n in range(2, n_max + 1):
-        for k in range(2, n + 1):
-            dom = enumerate_family("rsii-d", n, ("first", -k))
-            cod = enumerate_trees(n, starred=True, rightmost=k)
-            imgs = []
-            for w in dom:
-                t = phi2_d(w)
-                if not is_starred(t) or rmlab(t) != k:
-                    return _fail(f"class of {w}", f"star, rightmost {k}", t)
-                if emp(t) != n - 1 - 2 * nva(w):
-                    return _fail(f"emp of {w}", n - 1 - 2 * nva(w), emp(t))
-                if phi2_d_inv(t) != w:
-                    return _fail(f"round trip {w}", w, phi2_d_inv(t))
-                imgs.append(t)
-            if sorted(word_sort_key(inorder_word(t)) for t in imgs) != \
-                    sorted(word_sort_key(inorder_word(t)) for t in cod):
-                return _fail(f"coverage n={n} k={k}", "all star trees", "missing")
-    return None
+    return _onto_star_trees(n_max, "rsii-d", "first", phi2_d, phi2_d_inv, nva)
 
 
 def check_thm_5_4(n_max: int):
     for n in range(1, n_max + 1):
         dom = enumerate_family("adii", n + 1)
         cod = set(enumerate_family("rsii", n))
-        imgs = set()
-        for w in dom:
-            v = zeta2(w)
-            if v not in cod:
-                return _fail(f"image of {w}", "type-II Simsun member", v)
-            if zeta2_inv(v) != w:
-                return _fail(f"round trip {w}", w, zeta2_inv(v))
-            imgs.add(v)
-        if imgs != cod:
-            return _fail(f"coverage n={n}", "all members", "missing")
+        bad = _bijection_fail(dom, zeta2, zeta2_inv, _member_of(cod, "type-II Simsun member"),
+                              cod, _fail(f"coverage n={n}", "all members", "missing"))
+        if bad:
+            return bad
         for k in range(1, n + 1):
             for w in enumerate_family("adii-b", n + 1, ("last", k + 1)):
                 if not is_member(zeta2(w), "rsii-b") or gae(zeta2(w)) != k:
@@ -503,12 +488,7 @@ def check_thm_5_4(n_max: int):
             for w in enumerate_family("adii-d", n + 1, ("first", -k - 1)):
                 if not is_member(zeta2(w), "rsii-d") or zeta2(w)[0] != -k:
                     return _fail(f"D index of {w}", f"first entry {-k}", zeta2(w))
-    a, b = fx.ZETA2_EXAMPLE
-    if zeta2(a) != b:
-        return _fail("worked example", b, zeta2(a))
-    if zeta2_inv(b) != a:
-        return _fail("worked example inverse", a, zeta2_inv(b))
-    return None
+    return _worked_example(zeta2, zeta2_inv, fx.ZETA2_EXAMPLE)
 
 
 def check_thm_6_1(n_max: int):
@@ -548,15 +528,15 @@ def check_tables_fixtures(n_max: int):
     V = arnold_poly(5)
     for n, row in fx.V_TRIANGLE.items():
         for k, terms in row.items():
-            if V.value(n, k) != _fixture_poly(terms):
+            if V.value(n, k) != LaurentPoly.from_terms(terms):
                 return _fail(f"polynomial triangle ({n},{k})",
-                             _fixture_poly(terms), V.value(n, k))
+                             LaurentPoly.from_terms(terms), V.value(n, k))
     G = gamma_arrays(6)
     for n, row in fx.GAMMA_POLY_TRIANGLE.items():
         for k, terms in row.items():
-            if G.value(n, k) != _fixture_poly(terms):
+            if G.value(n, k) != LaurentPoly.from_terms(terms):
                 return _fail(f"restricted triangle ({n},{k})",
-                             _fixture_poly(terms), G.value(n, k))
+                             LaurentPoly.from_terms(terms), G.value(n, k))
     for n, row in fx.GAMMA_TRIANGLE.items():
         for k, v in row.items():
             if G.value(n, k)(1) != v:
@@ -565,8 +545,8 @@ def check_tables_fixtures(n_max: int):
         for fn, table, name in ((hoffman_P, fx.P_LIST, "P"),
                                 (hoffman_Q, fx.Q_LIST, "Q"),
                                 (hoffman_R, fx.R_LIST, "R")):
-            if fn(n) != _fixture_poly(table[n]):
-                return _fail(f"{name}_{n}", _fixture_poly(table[n]), fn(n))
+            if fn(n) != LaurentPoly.from_terms(table[n]):
+                return _fail(f"{name}_{n}", LaurentPoly.from_terms(table[n]), fn(n))
     for n in range(1, 4):
         for fn, table, name in ((qpoly_P, fx.P_Q_LIST, "P"),
                                 (qpoly_Q, fx.Q_Q_LIST, "Q"),

@@ -1,12 +1,18 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from snake_atlas import cli
 from snake_atlas.cli import main
+from snake_atlas.verify import CHECKS
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -309,3 +315,34 @@ def test_readme_command_line_examples(capsys):
         code, out, _ = run(capsys, *argv)
         out = re.sub(r'"elapsed":[0-9.e-]+', '"elapsed":0', out)
         assert (code, out) == README_EXAMPLES[argv], argv
+
+
+def test_bare_verify_runs_every_check_at_its_default_depth(capsys):
+    code, out, _ = run(capsys, "verify")
+    reports = json.loads(out)
+    assert code == 0
+    assert len(reports) == 25
+    assert all(r["status"] == "pass" for r in reports)
+    assert {r["check_id"]: r["n_range"] for r in reports} == \
+        {cid: [1, depth] for cid, (depth, _) in CHECKS.items()}
+
+
+def run_script(name, *args, **env):
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path, **env})
+
+
+def test_census_size_below_one_is_a_usage_error():
+    r = run_script("bijection_census.py", "--n", "0")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "argument --n: expected an integer >= 1, got 0" in r.stderr
+
+
+def test_census_past_the_ceiling_prints_one_line_and_exits_3():
+    r = run_script("bijection_census.py", "--n", "3", SNAKE_ATLAS_MAX_N="2")
+    assert r.returncode == 3
+    assert "size 2" in r.stdout and "size 3" in r.stdout
+    assert r.stderr == "family 'rsi-b' enumeration: n=3 exceeds ceiling 2\n"

@@ -84,6 +84,15 @@ def test_weights_of_smallest_objects():
     assert weight_forest((("black", 1, "e"),)) == 1
 
 
+@pytest.mark.parametrize("fn", [forest_step_weights, weight_forest])
+@pytest.mark.parametrize("forest", [(("white", 2, "e"),),
+                                    (("black", 1, (3,)),),
+                                    (("white", 1, (2, "e", (4,))),)])
+def test_forest_weights_reject_labels_outside_1_to_n(fn, forest):
+    with pytest.raises(ValueError, match="labels must be exactly 1..n"):
+        fn(forest)
+
+
 def test_published_weight_sequences_are_attained():
     assert sum(fx.TREE_WEIGHT_EXAMPLE) == 7
     assert fx.TREE_WEIGHT_EXAMPLE in {tree_step_weights(t)

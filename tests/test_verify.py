@@ -1,5 +1,8 @@
+import operator
+
 import pytest
 
+import snake_atlas.bijections as bij
 import snake_atlas.verify as verify
 from snake_atlas.verify import CHECKS, run_all, run_check
 
@@ -98,3 +101,94 @@ def test_bijection_check_fails_on_a_wrong_inverse(monkeypatch, check_id, inverse
     assert r.status == "fail"
     assert r.counterexample == {"inputs": f"round trip {w}", "expected": str(w),
                                 "actual": str(w[::-1])}
+
+
+# Each bijection and sum check, with one part it reads made wrong on one
+# argument: the check must fail with this counterexample.  A part is
+# patched in `verify`'s namespace and answers `change(value)` for the call
+# whose positional arguments are `args`.  The image tests see a wrong
+# statistic, class or image; coverage sees one object dropped from an
+# enumeration (for the zeta checks a domain member, because a missing
+# codomain member already fails their image test); the sums see one tree's
+# or window's statistic off by one, or one refined family short a member.
+def _plus_one(v):
+    return v + 1
+
+
+def _drop_last(v):
+    return v[:-1]
+
+
+T3 = (1, "e", (2, "e", (3,)))  # star class, rmlab 3, leftmost leaf empty
+
+BROKEN_PARTS = [
+    # image tests
+    ("prop-4-2", "emp_forest", (bij.phi1((2, -3, 1)),), _plus_one,
+     "emp transport (2, -3, 1)", "1", "2"),
+    ("prop-5-1", "emp_forest", (bij.phi2((3, -1, 2)),), _plus_one,
+     "emp transport (3, -1, 2)", "3", "4"),
+    ("prop-4-5", "rmlab", (bij.phi1_d((2, 1, -3)),), _plus_one,
+     "class of (2, 1, -3)", "star, rightmost 3", "(1, (2, 'e', 'e'), (3,))"),
+    ("prop-4-5", "emp", (bij.phi1_d((2, 1, -3)),), _plus_one,
+     "emp of (2, 1, -3)", "2", "3"),
+    ("prop-5-3", "is_starred", (bij.phi2_d((-3, 2, 1)),), operator.not_,
+     "class of (-3, 2, 1)", "star, rightmost 3", "(1, (2, 'e', 'e'), (3,))"),
+    ("prop-5-3", "emp", (bij.phi2_d((-3, 2, 1)),), _plus_one,
+     "emp of (-3, 2, 1)", "2", "3"),
+    ("thm-4-5", "zeta1", ((3, 1, -2),), _drop_last,
+     "image of (3, 1, -2)", "type-I Simsun member", "(2,)"),
+    ("thm-5-4", "zeta2", ((-2, 1, 3),), _drop_last,
+     "image of (-2, 1, 3)", "type-II Simsun member", "(-1,)"),
+    # coverage
+    ("prop-4-2", "enumerate_forests", (3,), _drop_last,
+     "image coverage n=3", "all forests", "missing images"),
+    ("prop-5-1", "enumerate_forests", (3,), _drop_last,
+     "image coverage n=3", "all forests", "missing images"),
+    ("prop-4-5", "enumerate_trees", (3,), _drop_last,
+     "coverage n=3 k=2", "all star trees", "missing"),
+    ("prop-5-3", "enumerate_trees", (3,), _drop_last,
+     "coverage n=3 k=2", "all star trees", "missing"),
+    ("thm-4-5", "enumerate_family", ("adi", 3), _drop_last,
+     "coverage n=2", "all members", "missing"),
+    ("thm-5-4", "enumerate_family", ("adii", 3), _drop_last,
+     "coverage n=2", "all members", "missing"),
+    # sums
+    ("thm-2-2", "emp", (T3,), _plus_one,
+     "P_3 from trees", "2+8t^2+6t^4", "2+7t^2+t^3+6t^4"),
+    ("thm-2-3", "emp", (T3,), _plus_one,
+     "star sum n=3 k=1", "1+2t^2", "1+t^2+t^3"),
+    ("prop-3-1", "emp", (T3,), _plus_one,
+     "(i) n=3 k=3", "1+2t^2", "1+t^2+t^3"),
+    ("cor-3-2", "emp", (T3,), _plus_one,
+     "n=3 k=3", "1+2t^2", "1+t^2+t^3"),
+    ("cor-3-4", "emp", (T3,), _plus_one,
+     "star cell n=3 k=1", "2t^2", "t^2+t^3"),
+    ("thm-2-7", "npk", ((2, -3, 1),), _plus_one,
+     "R_3 over type-I Simsun", "16t+24t^3", "t^-1+15t+24t^3"),
+    ("thm-2-10", "npk", ((2, -3, 1),), _plus_one,
+     "B-side n=3 k=3", "2t^2+2t^4", "1+t^2+2t^4"),
+    ("thm-2-10", "npk", ((-3, 1, -2),), _plus_one,
+     "D-side n=3 k=2", "1+t^2", "t^-2+t^2"),
+    ("thm-2-13", "nva", ((1, -3, 2),), _plus_one,
+     "R_3 over type-II Simsun", "16t+24t^3", "t^-1+15t+24t^3"),
+    ("thm-2-13", "enumerate_family", ("rsii-b", 3, ("gae", 2)), _drop_last,
+     "B-side n=3 k=2", "2t^2+2t^4", "2t^2+t^4"),
+    ("thm-2-13", "enumerate_family", ("rsii-d", 3, ("first", -2)), _drop_last,
+     "D-side n=3 k=2", "1+t^2", "1"),
+]
+
+
+@pytest.mark.parametrize("check_id, name, args, change, inputs, expected, actual",
+                         BROKEN_PARTS)
+def test_check_fails_on_a_broken_part(monkeypatch, check_id, name, args, change,
+                                      inputs, expected, actual):
+    right = getattr(verify, name)
+
+    def wrong(*a, **kw):
+        out = right(*a, **kw)
+        return change(out) if a == args else out
+
+    monkeypatch.setattr(verify, name, wrong)
+    r = run_check(check_id, 3)
+    assert r.status == "fail"
+    assert r.counterexample == {"inputs": inputs, "expected": expected, "actual": actual}
