@@ -10,8 +10,8 @@ import sys
 from collections import Counter
 
 from snake_atlas.bijections import phi1, phi2
-from snake_atlas.cli import EXIT_CEILING, _int_at_least
-from snake_atlas.errors import LimitError
+from snake_atlas.cli import EXIT_CEILING, EXIT_USAGE, _int_at_least
+from snake_atlas.errors import LimitError, SettingError
 from snake_atlas.forests import emp_forest
 from snake_atlas.permutations import enumerate_family
 from snake_atlas.triangles import arnold
@@ -26,6 +26,9 @@ def main():
     except LimitError as exc:
         print(exc, file=sys.stderr)
         return EXIT_CEILING
+    except SettingError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
     return 0
 
 

@@ -7,7 +7,8 @@ import argparse
 import json
 import sys
 
-from snake_atlas.cli import _int_at_least
+from snake_atlas.cli import EXIT_USAGE, _int_at_least
+from snake_atlas.errors import SettingError
 from snake_atlas.verify import run_all
 
 
@@ -17,7 +18,11 @@ def main():
     parser.add_argument("--out", default=None, help="optional JSON report path")
     args = parser.parse_args()
 
-    reports = run_all(args.n_max)
+    try:
+        reports = run_all(args.n_max)
+    except SettingError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
     for r in reports:
         line = f"{r.check_id:18s} {r.status:4s} {r.elapsed:8.2f}s"
         if r.counterexample:

@@ -15,9 +15,9 @@ from __future__ import annotations
 from operator import itemgetter
 
 from .errors import MembershipError, enforce_ceiling
-from .trees import (EMPTY, _keyed_trees, _labels, emp, inorder_word, is_empty,
-                    is_leaf, is_starred, label_from_json, node_from_json,
-                    tree_to_json, validate_tree, word_sort_key)
+from .trees import (EMPTY, _keyed_trees, _labels, _splits, emp, inorder_word,
+                    is_empty, is_leaf, is_starred, label_from_json,
+                    node_from_json, tree_to_json, validate_tree, word_sort_key)
 
 BLACK = "black"
 WHITE = "white"
@@ -61,7 +61,10 @@ def _check_shape(node):
 
 
 def emp_forest(forest) -> int:
-    return sum(1 if is_empty(child) else emp(child) for _, _, child in forest)
+    total = 0
+    for _, _, child in forest:
+        total += emp(child)
+    return total
 
 
 def labelled_leaves(forest) -> int:
@@ -119,11 +122,8 @@ def enumerate_forests(n: int, *, white_only: bool = False,
         if found is not None:
             return found
         root, rest = labels[0], labels[1:]
-        m = len(rest)
         choices = []  # (component key, component, labels left for the rest)
-        for mask in range(1 << m):
-            below = tuple(rest[i] for i in range(m) if mask >> i & 1)
-            left = tuple(rest[i] for i in range(m) if not mask >> i & 1)
+        for below, left in _splits(rest):
             for key, child in _keyed_trees(below, trees):
                 for color in colors:
                     choices.append(((root, color == WHITE) + key,

@@ -23,9 +23,11 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
-from .forests import BLACK, emp_forest, enumerate_forests, validate_forest
+from .errors import enforce_ceiling
+from .forests import BLACK, DEFAULT_FOREST_CEILING, validate_forest
 from .polynomials import LaurentPoly
-from .trees import EMPTY, emp, enumerate_trees, is_empty, is_leaf, validate_tree
+from .trees import (DEFAULT_TREE_CEILING, EMPTY, _keyed_trees, _splits, emp,
+                    is_empty, is_leaf, validate_tree)
 
 
 @dataclass(frozen=True)
@@ -219,12 +221,11 @@ def _slots(node, parent, out):
         _slots(node[2], node[0], out)
 
 
-def _step_weights(slots) -> list[int]:
-    """Empty leaves read before each label j (index j) once every label
-    > j is peeled.  Those leaves are exactly the slots read before j
-    whose parent is a label <= j and that hold EMPTY or a label > j, so
+def _step_weights(slots, n: int) -> list[int]:
+    """Empty leaves read before each label j <= n (index j) once every
+    label > j is peeled.  Those leaves are exactly the slots read before
+    j whose parent is a label <= j and that hold EMPTY or a label > j, so
     one scan counts them without rebuilding the object."""
-    n = sum(x != EMPTY for x, _ in slots)
     out = [0] * (n + 1)
     cover = [0] * (n + 1)  # cover[j]: slots read so far that count for j
     for x, parent in slots:
@@ -239,44 +240,48 @@ def _step_weights(slots) -> list[int]:
 def tree_step_weights(tree) -> tuple[int, ...]:
     """c_j = empty leaves read before the node labelled j, in the tree
     peeled down to labels <= j."""
-    validate_tree(tree)
+    n = validate_tree(tree)
     slots = []
     _slots(tree, None, slots)
-    return tuple(_step_weights(slots)[1:])
+    return tuple(_step_weights(slots, n)[1:])
 
 
 def weight_tree(tree) -> int:
     return sum(tree_step_weights(tree))
 
 
-def _forest_weights(forest) -> list[int]:
-    """d_j at index j (index 0 holds 0) of a valid forest."""
-    slots = []
-    for _, root, child in forest:
-        slots.append((root, None))
-        _slots(child, root, slots)
-    out = _step_weights(slots)
-    for color, root, _ in forest:
-        out[root] += color == BLACK
-    return out
-
-
 def forest_step_weights(forest) -> tuple[int, ...]:
     """d_j = empty leaves read before the node labelled j (components in
     root order, roots read before their subtrees), plus one when j is a
     black root."""
-    validate_forest(forest)
-    return tuple(_forest_weights(forest)[1:])
+    n = validate_forest(forest)
+    slots = []
+    for _, root, child in forest:
+        slots.append((root, None))
+        _slots(child, root, slots)
+    out = _step_weights(slots, n)
+    for color, root, _ in forest:
+        out[root] += color == BLACK
+    return tuple(out[1:])
 
 
 def weight_forest(forest) -> int:
     return sum(forest_step_weights(forest))
 
 
-def _sum_monomials(pairs) -> BiPoly:
-    """Sum of q^weight t^emp over ``(weight, emp)`` pairs, counted first
-    and built as one polynomial."""
-    counts = Counter(pairs)
+# -- counted sums ----------------------------------------------------------
+
+def _region_weight(node, parent: int, after: tuple, n: int) -> int:
+    """The slots of ``node`` hung under ``parent``, counted against the
+    labels inside it and the labels ``after`` read after it."""
+    slots = []
+    _slots(node, parent, slots)
+    slots.extend((j, None) for j in after)
+    return sum(_step_weights(slots, n))
+
+
+def _sum_monomials(counts: Counter) -> BiPoly:
+    """Sum of q^weight t^emp over counted ``(weight, emp)`` pairs."""
     width = 1 + max((w for w, _ in counts), default=-1)
     rows = [[0] * width for _ in range(1 + max((e for _, e in counts), default=-1))]
     for (w, e), c in counts.items():
@@ -284,13 +289,57 @@ def _sum_monomials(pairs) -> BiPoly:
     return BiPoly.make(map(QPoly.make, rows))
 
 
+def _counted_sum(n: int, empty: tuple, root_weights: tuple, leaf: bool) -> BiPoly:
+    """Sum of q^weight t^emp over the objects on 1..n built as the smallest
+    label (adding one of ``root_weights``), a tree hung under it on some of
+    the other labels, and an object of the same kind on the labels left;
+    ``empty`` is the ``(weight, emp)`` of the object on no labels, and
+    ``leaf`` adds the lone root.
+
+    A slot counts toward label j when it is read before j and its parent is
+    <= j < its label (any j >= parent for an empty slot), and the top slot
+    of a tree never counts toward the tree's own labels.  So an object
+    weighs its first tree's region, top slot included, counted against the
+    tree's labels and the labels left, plus the weight of the object on the
+    labels left.  That object's pairs are counted once per split, memoised
+    by label tuple within the call, and only the first tree is walked."""
+    trees = {}
+    memo = {(): Counter({empty: 1})}
+
+    def counts(labels):
+        found = memo.get(labels)
+        if found is None:
+            root, rest = labels[0], labels[1:]
+            found = memo[labels] = Counter({(0, 0): 1} if leaf and not rest else ())
+            for below, left in _splits(rest):
+                firsts = Counter()
+                for _, tree in _keyed_trees(below, trees):
+                    w, e = _region_weight(tree, root, left, n), emp(tree)
+                    for b in root_weights:
+                        firsts[w + b, e] += 1
+                rests = counts(left)
+                for (w1, e1), c1 in firsts.items():
+                    for (w2, e2), c2 in rests.items():
+                        found[w1 + w2, e1 + e2] += c1 * c2
+        return found
+
+    return _sum_monomials(counts(tuple(range(1, n + 1))))
+
+
 def weighted_sum_trees(n: int, *, max_n=None) -> BiPoly:
-    """Sum of q^weight t^emp over all size-n trees (= the operator P_n)."""
-    return _sum_monomials((weight_tree(t), emp(t))
-                          for t in enumerate_trees(n, max_n=max_n))
+    """Sum of q^weight t^emp over all size-n trees (= the operator P_n).
+    A tree (r, L, R) is its root, L, and R on the labels L leaves."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    enforce_ceiling("tree enumeration", n, max_n, DEFAULT_TREE_CEILING)
+    return _counted_sum(n, (0, 1), (0,), leaf=True)
 
 
 def weighted_sum_forests(n: int, *, white_only: bool = False, max_n=None) -> BiPoly:
-    """Sum of q^weight t^emp over forests (all: R_n; white only: Q_n)."""
-    return _sum_monomials((sum(_forest_weights(f)), emp_forest(f)) for f in
-                          enumerate_forests(n, white_only=white_only, max_n=max_n))
+    """Sum of q^weight t^emp over forests (all: R_n; white only: Q_n).
+    A forest is its first root, that root's child, and a forest on the
+    labels the child leaves; a black root adds one."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    enforce_ceiling("forest enumeration", n, max_n, DEFAULT_FOREST_CEILING)
+    return _counted_sum(n, (0, 0), (0,) if white_only else (1, 0), leaf=False)

@@ -78,9 +78,9 @@ def validate_tree(tree, n: int | None = None) -> int:
 
 def emp(tree) -> int:
     """Number of empty leaves."""
-    if is_empty(tree):
+    if tree == EMPTY:
         return 1
-    if is_leaf(tree):
+    if len(tree) == 1:
         return 0
     return emp(tree[1]) + emp(tree[2])
 
@@ -228,6 +228,15 @@ def _shift_labels(tree, from_label: int, delta: int):
 
 # -- enumeration --------------------------------------------------------
 
+def _splits(rest: tuple):
+    """``(chosen, others)`` for every subset of ``rest``, in bit-mask
+    order: bit i of the mask puts ``rest[i]`` in ``chosen``."""
+    m = len(rest)
+    for mask in range(1 << m):
+        yield (tuple(rest[i] for i in range(m) if mask >> i & 1),
+               tuple(rest[i] for i in range(m) if not mask >> i & 1))
+
+
 def _keyed_trees(labels: tuple, memo: dict) -> list:
     """``(word_sort_key, tree)`` for every complete increasing tree on a
     label tuple (``"e"`` if empty), memoised in ``memo`` by label tuple.
@@ -241,10 +250,7 @@ def _keyed_trees(labels: tuple, memo: dict) -> list:
     else:
         root, rest = labels[0], labels[1:]
         out = [] if rest else [((root,), (root,))]
-        m = len(rest)
-        for mask in range(1 << m):
-            left = tuple(rest[i] for i in range(m) if mask >> i & 1)
-            right = tuple(rest[i] for i in range(m) if not mask >> i & 1)
+        for left, right in _splits(rest):
             rights = _keyed_trees(right, memo)
             for lk, lt in _keyed_trees(left, memo):
                 lk += (root,)

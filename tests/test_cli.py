@@ -346,3 +346,11 @@ def test_census_past_the_ceiling_prints_one_line_and_exits_3():
     assert r.returncode == 3
     assert "size 2" in r.stdout and "size 3" in r.stdout
     assert r.stderr == "family 'rsi-b' enumeration: n=3 exceeds ceiling 2\n"
+
+
+@pytest.mark.parametrize("name, args", [("bijection_census.py", ("--n", "2")),
+                                        ("run_checks.py", ("--n-max", "1"))])
+def test_scripts_report_a_bad_ceiling_setting_in_one_line(name, args):
+    r = run_script(name, *args, SNAKE_ATLAS_MAX_N="x")
+    assert r.returncode == 2
+    assert r.stderr == "SNAKE_ATLAS_MAX_N must be an integer, got 'x'\n"

@@ -1,18 +1,22 @@
 """Operators D and U, the q-polynomial families, and object weights."""
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from snake_atlas import fixtures as fx
-from snake_atlas.forests import BLACK, WHITE, enumerate_forests, validate_forest
+from snake_atlas.errors import LimitError
+from snake_atlas.forests import (BLACK, WHITE, emp_forest, enumerate_forests,
+                                 validate_forest)
 from snake_atlas.qcalculus import (BiPoly, Operator, QPoly, forest_step_weights,
                                    op_D, op_U, qpoly_P, qpoly_Q, qpoly_R,
                                    tree_step_weights, weight_forest,
                                    weight_tree, weighted_sum_forests,
                                    weighted_sum_trees)
-from snake_atlas.trees import EMPTY, enumerate_trees, nodes_to_tree, validate_tree
+from snake_atlas.trees import (EMPTY, emp, enumerate_trees, nodes_to_tree,
+                               validate_tree)
 from snake_atlas.triangles import hoffman_P, hoffman_Q, hoffman_R
 
 
@@ -237,3 +241,41 @@ def test_step_weights_match_peel_and_rescan_at_large_n():
         f = grown_forest(rng, n, white_only=rng.random() < 0.5)
         assert validate_forest(f) == n
         assert forest_step_weights(f) == ref_forest_step_weights(f), f
+
+
+def _monomial_counts(f):
+    return Counter({(w, e): c for e, qp in enumerate(f.t_coeffs)
+                    for w, c in enumerate(qp.coeffs) if c})
+
+
+@pytest.mark.parametrize("kind, n", [("trees", 6), ("forests", 6), ("white", 6),
+                                     ("trees", 7), ("white", 7)])
+def test_counted_sums_match_per_object_counts(kind, n):
+    """The decomposed sums count exactly the (weight, emp) pairs of the
+    objects, weighed one at a time by the validated per-object oracle."""
+    if kind == "trees":
+        want = Counter((weight_tree(t), emp(t)) for t in enumerate_trees(n))
+        got = weighted_sum_trees(n)
+    else:
+        white_only = kind == "white"
+        want = Counter((weight_forest(f), emp_forest(f))
+                       for f in enumerate_forests(n, white_only=white_only))
+        got = weighted_sum_forests(n, white_only=white_only)
+    assert _monomial_counts(got) == want
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: weighted_sum_forests(9), LimitError,
+     "forest enumeration: n=9 exceeds ceiling 8"),
+    (lambda: weighted_sum_trees(10), LimitError,
+     "tree enumeration: n=10 exceeds ceiling 9"),
+    (lambda: weighted_sum_trees(4, max_n=3), LimitError,
+     "tree enumeration: n=4 exceeds ceiling 3"),
+    (lambda: weighted_sum_forests(0), ValueError, "n must be >= 1"),
+])
+def test_weighted_sums_keep_their_size_errors(monkeypatch, call, error, message):
+    monkeypatch.delenv("SNAKE_ATLAS_MAX_N", raising=False)
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message

@@ -192,3 +192,16 @@ def test_check_fails_on_a_broken_part(monkeypatch, check_id, name, args, change,
     r = run_check(check_id, 3)
     assert r.status == "fail"
     assert r.counterexample == {"inputs": inputs, "expected": expected, "actual": actual}
+
+
+@pytest.mark.parametrize("check_id, fixture, missing", [
+    ("thm-6-1", "TREE_WEIGHT_EXAMPLE", (0, 0, 0, 0, 9)),
+    ("thm-6-2", "FOREST_WEIGHT_EXAMPLE", (0, 0, 0, 0, 0, 9)),
+])
+def test_unattained_weight_example_is_the_counterexample(monkeypatch, check_id,
+                                                         fixture, missing):
+    monkeypatch.setattr(verify.fx, fixture, missing)
+    r = run_check(check_id, 2)
+    assert r.status == "fail"
+    assert r.counterexample == {"inputs": "weight example",
+                                "expected": str(missing), "actual": "not attained"}
