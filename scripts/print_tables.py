@@ -5,6 +5,7 @@ polynomial refinements, and the three derivative-polynomial families
 with their q-analogues."""
 import argparse
 
+from snake_atlas.cli import _int_at_least
 from snake_atlas.qcalculus import qpoly_P, qpoly_Q, qpoly_R
 from snake_atlas.triangles import (arnold, arnold_poly, entringer,
                                    gamma_arrays, hoffman_P, hoffman_Q,
@@ -26,7 +27,7 @@ def show_double(title, tri, at_one=False):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n", type=int, default=6)
+    parser.add_argument("--n", type=_int_at_least(1), default=6)
     args = parser.parse_args()
     n = args.n
 

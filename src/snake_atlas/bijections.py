@@ -35,8 +35,9 @@ from .permutations import (augmenting_elements, check_window,
                            expand_first_entry, expand_last_entry, is_member,
                            shrink_first_entry, shrink_last_entry,
                            _rl_min_positions, _simsun_levels_ok)
-from .trees import (EMPTY, _shift_labels, is_starred, nodes_to_tree, rmlab,
-                    tree_nodes, validate_tree)
+from .trees import (EMPTY, _lower_rightmost_leaf, _raise_rightmost_leaf,
+                    is_starred, nodes_to_tree, rmlab, tree_nodes,
+                    validate_tree)
 
 # When enabled, the forward algorithms assert the step-by-step
 # correspondence between word marks and node classes.
@@ -449,7 +450,7 @@ def phi1_d(window):
         raise MembershipError("phi1_d: input not in rsi-d (size >= 2)")
     k = abs(w[-1])
     tree = phi1_b(shrink_last_entry(w))
-    return _label_rightmost_leaf(_shift_labels(tree, k, 1), k)
+    return _raise_rightmost_leaf(tree, k)
 
 
 def phi1_d_inv(tree):
@@ -459,8 +460,7 @@ def phi1_d_inv(tree):
     k = rmlab(tree)
     if k < 2:
         raise MembershipError("phi1_d_inv: rightmost label must be >= 2")
-    tree = _shift_labels(_unlabel_rightmost_leaf(tree, k), k + 1, -1)
-    return expand_last_entry(phi1_b_inv(tree), k)
+    return expand_last_entry(phi1_b_inv(_lower_rightmost_leaf(tree)), k)
 
 
 def phi2_b(window):
@@ -487,7 +487,7 @@ def phi2_d(window):
     if not aug or aug[-1] >= k:
         raise MembershipError("phi2_d: shrunk window lacks a smaller augmenting anchor")
     tree = phi2_b(shrunk)
-    return _label_rightmost_leaf(_shift_labels(tree, k, 1), k)
+    return _raise_rightmost_leaf(tree, k)
 
 
 def phi2_d_inv(tree):
@@ -497,26 +497,7 @@ def phi2_d_inv(tree):
     k = rmlab(tree)
     if k < 2:
         raise MembershipError("phi2_d_inv: rightmost label must be >= 2")
-    tree = _shift_labels(_unlabel_rightmost_leaf(tree, k), k + 1, -1)
-    return expand_first_entry(phi2_b_inv(tree), k)
-
-
-def _label_rightmost_leaf(tree, k: int):
-    if len(tree) == 1:
-        raise MembershipError("tree has no empty rightmost leaf")
-    if tree[2] == EMPTY:
-        return (tree[0], tree[1], (k,))
-    return (tree[0], tree[1], _label_rightmost_leaf(tree[2], k))
-
-
-def _unlabel_rightmost_leaf(tree, k: int):
-    if len(tree) == 1:
-        raise MembershipError("cannot unlabel a bare leaf")
-    if len(tree[2]) == 1:
-        if tree[2][0] != k:
-            raise MembershipError(f"rightmost leaf is not {k}")
-        return (tree[0], tree[1], EMPTY)
-    return (tree[0], tree[1], _unlabel_rightmost_leaf(tree[2], k))
+    return expand_first_entry(phi2_b_inv(_lower_rightmost_leaf(tree)), k)
 
 
 # -- zeta maps -------------------------------------------------------------

@@ -15,9 +15,10 @@ from __future__ import annotations
 from operator import itemgetter
 
 from .errors import MembershipError, enforce_ceiling
-from .trees import (EMPTY, _keyed_trees, _labels, _splits, emp, inorder_word,
-                    is_empty, is_leaf, is_starred, label_from_json,
-                    node_from_json, tree_to_json, validate_tree, word_sort_key)
+from .trees import (EMPTY, _keyed_trees, _labels, _regraft, _splits, emp,
+                    inorder_word, is_empty, is_leaf, label_from_json,
+                    node_from_json, rightmost_path, tree_to_json,
+                    validate_tree, word_sort_key)
 
 BLACK = "black"
 WHITE = "white"
@@ -153,18 +154,13 @@ def forest_sort_key(forest) -> tuple:
 
 def tree_to_forest(tree) -> tuple:
     """Cut a circ-class tree along its rightmost path; the path nodes
-    become white roots, each keeping its left subtree as single child."""
+    become white roots, each keeping its left subtree as single child.
+    Labels increase down the path, so the roots come out sorted."""
     validate_tree(tree)
-    if is_starred(tree):
+    path = rightmost_path(tree)
+    if not is_empty(path[-1]):
         raise MembershipError("the rightmost leaf must be empty")
-    comps = []
-    node = tree
-    while not is_empty(node):
-        if is_leaf(node):
-            raise MembershipError("rightmost path may not end at a labelled leaf")
-        comps.append((WHITE, node[0], node[1]))
-        node = node[2]
-    return tuple(sorted(comps, key=lambda c: c[1]))
+    return tuple((WHITE, v[0], v[1]) for v in path[:-1])
 
 
 def forest_to_tree(forest):
@@ -173,10 +169,7 @@ def forest_to_tree(forest):
     validate_forest(forest)
     if not is_all_white(forest):
         raise MembershipError("only all-white forests correspond to trees")
-    node = EMPTY
-    for color, root, child in sorted(forest, key=lambda c: -c[1]):
-        node = (root, child, node)
-    return node
+    return _regraft([comp[1:] for comp in forest], EMPTY)
 
 
 # -- JSON ---------------------------------------------------------------

@@ -40,14 +40,6 @@ def is_leaf(node) -> bool:
     return len(node) == 1
 
 
-def tree_size(tree) -> int:
-    if is_empty(tree):
-        return 0
-    if is_leaf(tree):
-        return 1
-    return 1 + tree_size(tree[1]) + tree_size(tree[2])
-
-
 def validate_tree(tree, n: int | None = None) -> int:
     """Check completeness, label coverage and the increasing property."""
     labels = []
@@ -164,7 +156,7 @@ def word_sort_key(word) -> tuple:
     return tuple(0 if x == EMPTY else x for x in word)
 
 
-# -- mutable node-map form (the psi maps, and bijections._Builder) -------
+# -- mutable node-map form (bijections._Builder) ------------------------
 
 def tree_nodes(tree):
     """Return (root_label, nodes) with nodes[k] = None | [left, right],
@@ -193,16 +185,6 @@ def nodes_to_tree(root: int, nodes: dict):
         return (k, EMPTY if l == EMPTY else build(l), EMPTY if r == EMPTY else build(r))
 
     return build(root)
-
-
-def _parents(nodes: dict) -> dict:
-    par = {}
-    for k, kids in nodes.items():
-        if kids:
-            for c in kids:
-                if c != EMPTY:
-                    par[c] = k
-    return par
 
 
 def _relabel(tree, mapping):
@@ -277,7 +259,31 @@ def enumerate_trees(n: int, *, starred: bool | None = None,
     return [t for _, t in out]
 
 
+# -- rightmost-path surgery ---------------------------------------------
+
+def _regraft(path, end):
+    """The tree whose rightmost path is ``path`` followed by ``end``; each
+    path node keeps its label and left subtree (``node[0]``, ``node[1]``)."""
+    for node in reversed(path):
+        end = (node[0], node[1], end)
+    return end
+
+
+def _lower_rightmost_leaf(tree):
+    """Empty the labelled rightmost leaf k and close the label gap."""
+    path = rightmost_path(tree)
+    return _shift_labels(_regraft(path[:-1], EMPTY), path[-1][0] + 1, -1)
+
+
+def _raise_rightmost_leaf(tree, k: int):
+    """Open a label gap at k and label the empty rightmost leaf k."""
+    return _regraft(rightmost_path(_shift_labels(tree, k, 1))[:-1], (k,))
+
+
 # -- the three grade-shifting maps --------------------------------------
+#
+# Each map reads the rightmost path, replaces its end and rebuilds only
+# the path above it: the class and grade live at the end of the path.
 
 def psi_star(tree):
     """Map a star-class tree down one grade.
@@ -287,38 +293,26 @@ def psi_star(tree):
     erases the rightmost leaf (one more empty leaf, one fewer label)
     and lands in the circ class.
     """
-    if not is_starred(tree):
+    validate_tree(tree)
+    path = rightmost_path(tree)
+    if is_empty(path[-1]):
         raise MembershipError("psi_star needs a tree whose rightmost leaf is labelled")
-    k = rmlab(tree)
+    k = path[-1][0]
     if k < 2:
         raise MembershipError("psi_star is undefined at rightmost label 1")
-    root, nodes = tree_nodes(tree)
-    par = _parents(nodes)
-    if par.get(k) != k - 1:
+    if path[-2][0] != k - 1:
         return _relabel(tree, {k: k - 1, k - 1: k}), "a"
-    kids = nodes[k - 1]
-    kids[kids.index(k)] = EMPTY
-    del nodes[k]
-    out = nodes_to_tree(root, nodes)
-    return _shift_labels(out, k + 1, -1), "b"
+    return _lower_rightmost_leaf(tree), "b"
 
 
 def psi_star_inv(tree):
-    if is_starred(tree):
-        k = rmlab(tree) + 1
-        if k > tree_size(tree):
-            raise MembershipError("no room to swap the rightmost label up")
-        return _relabel(tree, {k: k - 1, k - 1: k}), "a"
+    n = validate_tree(tree)
     k = rmlab(tree) + 1
-    lifted = _shift_labels(tree, k, 1)
-    root, nodes = tree_nodes(lifted)
-    v = rmlab(lifted)  # = k - 1 after the lift
-    kids = nodes[v]
-    if kids is None or kids[1] != EMPTY:
-        raise MembershipError("circ-class tree must end in an empty right slot")
-    kids[1] = k
-    nodes[k] = None
-    return nodes_to_tree(root, nodes), "b"
+    if not is_starred(tree):
+        return _raise_rightmost_leaf(tree, k), "b"
+    if k > n:
+        raise MembershipError("no room to swap the rightmost label up")
+    return _relabel(tree, {k: k - 1, k - 1: k}), "a"
 
 
 def psi_circ(tree):
@@ -329,76 +323,54 @@ def psi_circ(tree):
     case "b-branch" rotates the subtrees of k+1 onto the rightmost
     path, staying in the circ class.
     """
-    if is_starred(tree):
+    n = validate_tree(tree)
+    path = rightmost_path(tree)
+    if not is_empty(path[-1]):
         raise MembershipError("psi_circ needs a tree whose rightmost leaf is empty")
-    n = tree_size(tree)
-    k = rmlab(tree)
+    k, child, _ = path[-2]
     if k >= n:
         raise MembershipError("psi_circ is undefined at rightmost label n")
-    root, nodes = tree_nodes(tree)
-    par = _parents(nodes)
-    if par.get(k + 1) != k:
+    # k's right slot is empty, so k+1 hangs under k only as its left child
+    if is_empty(child) or child[0] != k + 1:
         return _relabel(tree, {k: k + 1, k + 1: k}), "a"
-    if nodes[k + 1] is None:
-        # leaf under k: drop it and close the label gap
-        del nodes[k + 1]
-        nodes[k] = None
-        out = nodes_to_tree(root, nodes)
-        return _shift_labels(out, k + 2, -1), "b-leaf"
-    t1, t2 = nodes[k + 1]
-    nodes[k] = [t1, k + 1]
-    nodes[k + 1] = [t2, EMPTY]
-    return nodes_to_tree(root, nodes), "b-branch"
+    if is_leaf(child):
+        return _shift_labels(_regraft(path[:-2], (k,)), k + 2, -1), "b-leaf"
+    return _regraft(path[:-2], (k, child[1], (k + 1, child[2], EMPTY))), "b-branch"
 
 
 def psi_circ_inv(tree):
+    validate_tree(tree)
     if is_starred(tree):
         # undo "b-leaf"
         k = rmlab(tree)
-        lifted = _shift_labels(tree, k + 1, 1)
-        root, nodes = tree_nodes(lifted)
-        if nodes[k] is not None:
-            raise MembershipError("star-class preimage must end in a labelled leaf")
-        nodes[k] = [k + 1, EMPTY]
-        nodes[k + 1] = None
-        return nodes_to_tree(root, nodes), "b-leaf"
-    j = rmlab(tree)
+        path = rightmost_path(_shift_labels(tree, k + 1, 1))
+        return _regraft(path[:-1], (k, (k + 1,), EMPTY)), "b-leaf"
+    path = rightmost_path(tree)
+    j, b, _ = path[-2]
     if j < 2:
         raise MembershipError("psi_circ_inv is undefined at rightmost label 1")
-    k = j - 1
-    root, nodes = tree_nodes(tree)
-    par = _parents(nodes)
-    if par.get(j) != k:
-        return _relabel(tree, {k: j, j: k}), "a"
-    kids_v, kids_w = nodes[k], nodes[j]
-    if kids_w is None or kids_w[1] != EMPTY or kids_v is None or kids_v[1] != j:
-        raise MembershipError("unexpected shape for a b-branch image")
-    a, b = kids_v[0], kids_w[0]
-    nodes[j] = [a, b]
-    nodes[k] = [j, EMPTY]
-    return nodes_to_tree(root, nodes), "b-branch"
+    k, a, _ = path[-3]
+    if k != j - 1:
+        return _relabel(tree, {j - 1: j, j: j - 1}), "a"
+    return _regraft(path[:-3], (k, (j, a, b), EMPTY)), "b-branch"
 
 
 def psi_cap(tree):
     """Attach two empty leaves to the rightmost leaf of a top-grade
     star tree, moving it to the top-grade circ class."""
-    n = tree_size(tree)
-    if not is_starred(tree) or rmlab(tree) != n:
+    n = validate_tree(tree)
+    path = rightmost_path(tree)
+    if is_empty(path[-1]) or path[-1][0] != n:
         raise MembershipError("psi_cap needs a star-class tree with rightmost label n")
-    root, nodes = tree_nodes(tree)
-    nodes[n] = [EMPTY, EMPTY]
-    return nodes_to_tree(root, nodes)
+    return _regraft(path[:-1], (n, EMPTY, EMPTY))
 
 
 def psi_cap_inv(tree):
-    n = tree_size(tree)
-    if is_starred(tree) or rmlab(tree) != n:
+    n = validate_tree(tree)
+    path = rightmost_path(tree)
+    if not is_empty(path[-1]) or path[-2][0] != n:
         raise MembershipError("psi_cap_inv needs a circ-class tree with rightmost label n")
-    root, nodes = tree_nodes(tree)
-    if nodes[n] != [EMPTY, EMPTY]:
-        raise MembershipError("top label must carry two empty leaves")
-    nodes[n] = None
-    return nodes_to_tree(root, nodes)
+    return _regraft(path[:-2], (n,))
 
 
 # -- snake correspondence ------------------------------------------------

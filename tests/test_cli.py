@@ -354,3 +354,30 @@ def test_scripts_report_a_bad_ceiling_setting_in_one_line(name, args):
     r = run_script(name, *args, SNAKE_ATLAS_MAX_N="x")
     assert r.returncode == 2
     assert r.stderr == "SNAKE_ATLAS_MAX_N must be an integer, got 'x'\n"
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_print_tables_size_below_one_is_a_usage_error(n):
+    r = run_script("print_tables.py", "--n", n)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert f"argument --n: expected an integer >= 1, got {n}" in r.stderr
+
+
+@pytest.mark.parametrize("name", ["bijection_census.py", "print_tables.py",
+                                  "run_checks.py"])
+def test_scripts_import_and_print_help(name):
+    r = run_script(name, "--help")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.startswith("usage: ")
+
+
+def test_python_dash_m_matches_cli_main(capsys):
+    argv = ["bijection", "--name", "psi-star", "--input", '["e",1,2]']
+    code, out, err = run(capsys, *argv)
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    r = subprocess.run([sys.executable, "-m", "snake_atlas", *argv],
+                       capture_output=True, text=True,
+                       env={**os.environ, "PYTHONPATH": path})
+    assert code == 0 and err == ""
+    assert (r.returncode, r.stdout, r.stderr) == (code, out, err)

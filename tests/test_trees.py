@@ -1,4 +1,5 @@
 """Tree objects: enumeration, statistics, grade maps, snake correspondence."""
+import random
 from collections import Counter
 
 import pytest
@@ -9,12 +10,14 @@ from snake_atlas import fixtures as fx
 from snake_atlas.errors import LimitError, MembershipError
 from snake_atlas.permutations import enumerate_family
 from snake_atlas.polynomials import LaurentPoly
-from snake_atlas.trees import (EMPTY, emp, enumerate_trees, flip,
-                               in_left_class, inorder_word, is_starred,
+from snake_atlas.trees import (EMPTY, _lower_rightmost_leaf,
+                               _raise_rightmost_leaf, emp, enumerate_trees,
+                               flip, in_left_class, inorder_word, is_starred,
+                               nodes_to_tree,
                                psi_cap, psi_cap_inv, psi_circ, psi_circ_inv,
                                psi_star, psi_star_inv, rmlab, snake_to_tree,
-                               tree_from_json, tree_from_word, tree_to_json,
-                               tree_to_snake, tree_to_word_json,
+                               tree_from_json, tree_from_word, tree_nodes,
+                               tree_to_json, tree_to_snake, tree_to_word_json,
                                validate_tree, word_sort_key)
 from snake_atlas.triangles import arnold_poly, hoffman_P
 
@@ -176,6 +179,26 @@ def test_psi_domain_errors():
         psi_cap((1, (2,), EMPTY))
 
 
+@pytest.mark.parametrize("fn, tree", [
+    (psi_star, (1, EMPTY, (3,))),               # label gap
+    (psi_star, (1, (2,), (2,))),                # repeated label
+    (psi_star_inv, (2, EMPTY, (1,))),           # decreasing
+    (psi_star_inv, (1, (2,), (2, EMPTY, EMPTY))),
+    (psi_circ, (1, (3,), EMPTY)),
+    (psi_circ_inv, (1, EMPTY, (1,))),
+    (psi_circ_inv, (1, (3, EMPTY, EMPTY), EMPTY)),
+    (psi_cap, (1, EMPTY)),                      # one child
+    (psi_cap, (1, (1,), (3,))),
+    (psi_cap_inv, (1, (1,), (3, EMPTY, EMPTY))),
+])
+def test_psi_maps_validate_their_tree(fn, tree):
+    with pytest.raises(ValueError) as expected:
+        validate_tree(tree)
+    with pytest.raises(ValueError) as got:
+        fn(tree)
+    assert (type(got.value), str(got.value)) == (ValueError, str(expected.value))
+
+
 def test_snake_correspondence_examples():
     for word, snake in fx.GAMMA_EXAMPLES:
         t = tree_from_word(word)
@@ -229,3 +252,180 @@ def test_class_sums_give_polynomial_triangle(n):
     for k in range(1, n + 1):
         assert sums.get((False, n - k + 1), LaurentPoly.zero()) == V.value(n, k)
         assert sums.get((True, n - k + 1), LaurentPoly.zero()) == V.value(n, -k)
+
+
+# -- the psi maps and rightmost-leaf helpers against a node-map reference --
+# The reference turns the whole tree into the mutable node map, finds
+# parents in a full parent map and rebuilds every node; it pins the exact
+# images and case tags, not only that the maps are inverse bijections.
+
+def _ref_map(tree, f):
+    if tree == EMPTY:
+        return tree
+    if len(tree) == 1:
+        return (f(tree[0]),)
+    return (f(tree[0]), _ref_map(tree[1], f), _ref_map(tree[2], f))
+
+
+def _ref_swap(tree, a, b):
+    return _ref_map(tree, lambda x: b if x == a else a if x == b else x)
+
+
+def _ref_shift(tree, lo, delta):
+    return _ref_map(tree, lambda x: x + delta if x >= lo else x)
+
+
+def _ref_parents(nodes):
+    return {c: k for k, kids in nodes.items() if kids for c in kids if c != EMPTY}
+
+
+def ref_psi_star(tree):
+    if not is_starred(tree):
+        raise MembershipError("psi_star needs a tree whose rightmost leaf is labelled")
+    k = rmlab(tree)
+    if k < 2:
+        raise MembershipError("psi_star is undefined at rightmost label 1")
+    root, nodes = tree_nodes(tree)
+    if _ref_parents(nodes).get(k) != k - 1:
+        return _ref_swap(tree, k - 1, k), "a"
+    kids = nodes[k - 1]
+    kids[kids.index(k)] = EMPTY
+    del nodes[k]
+    return _ref_shift(nodes_to_tree(root, nodes), k + 1, -1), "b"
+
+
+def ref_psi_star_inv(tree):
+    k = rmlab(tree) + 1
+    if is_starred(tree):
+        if k > len(tree_nodes(tree)[1]):
+            raise MembershipError("no room to swap the rightmost label up")
+        return _ref_swap(tree, k - 1, k), "a"
+    root, nodes = tree_nodes(_ref_shift(tree, k, 1))
+    nodes[k - 1][1] = k
+    nodes[k] = None
+    return nodes_to_tree(root, nodes), "b"
+
+
+def ref_psi_circ(tree):
+    if is_starred(tree):
+        raise MembershipError("psi_circ needs a tree whose rightmost leaf is empty")
+    root, nodes = tree_nodes(tree)
+    k = rmlab(tree)
+    if k >= len(nodes):
+        raise MembershipError("psi_circ is undefined at rightmost label n")
+    if _ref_parents(nodes).get(k + 1) != k:
+        return _ref_swap(tree, k, k + 1), "a"
+    if nodes[k + 1] is None:
+        del nodes[k + 1]
+        nodes[k] = None
+        return _ref_shift(nodes_to_tree(root, nodes), k + 2, -1), "b-leaf"
+    t1, t2 = nodes[k + 1]
+    nodes[k] = [t1, k + 1]
+    nodes[k + 1] = [t2, EMPTY]
+    return nodes_to_tree(root, nodes), "b-branch"
+
+
+def ref_psi_circ_inv(tree):
+    k = rmlab(tree)
+    if is_starred(tree):
+        root, nodes = tree_nodes(_ref_shift(tree, k + 1, 1))
+        nodes[k] = [k + 1, EMPTY]
+        nodes[k + 1] = None
+        return nodes_to_tree(root, nodes), "b-leaf"
+    if k < 2:
+        raise MembershipError("psi_circ_inv is undefined at rightmost label 1")
+    j, k = k, k - 1
+    root, nodes = tree_nodes(tree)
+    if _ref_parents(nodes).get(j) != k:
+        return _ref_swap(tree, k, j), "a"
+    nodes[j] = [nodes[k][0], nodes[j][0]]
+    nodes[k] = [j, EMPTY]
+    return nodes_to_tree(root, nodes), "b-branch"
+
+
+def ref_psi_cap(tree):
+    root, nodes = tree_nodes(tree)
+    n = len(nodes)
+    if not is_starred(tree) or rmlab(tree) != n:
+        raise MembershipError("psi_cap needs a star-class tree with rightmost label n")
+    nodes[n] = [EMPTY, EMPTY]
+    return nodes_to_tree(root, nodes)
+
+
+def ref_psi_cap_inv(tree):
+    root, nodes = tree_nodes(tree)
+    n = len(nodes)
+    if is_starred(tree) or rmlab(tree) != n:
+        raise MembershipError("psi_cap_inv needs a circ-class tree with rightmost label n")
+    nodes[n] = None
+    return nodes_to_tree(root, nodes)
+
+
+def ref_label_rightmost_leaf(tree, k):
+    if tree[2] == EMPTY:
+        return (tree[0], tree[1], (k,))
+    return (tree[0], tree[1], ref_label_rightmost_leaf(tree[2], k))
+
+
+def ref_unlabel_rightmost_leaf(tree):
+    if len(tree[2]) == 1:
+        return (tree[0], tree[1], EMPTY)
+    return (tree[0], tree[1], ref_unlabel_rightmost_leaf(tree[2]))
+
+
+PSI_AND_REFERENCE = [(psi_star, ref_psi_star), (psi_star_inv, ref_psi_star_inv),
+                     (psi_circ, ref_psi_circ), (psi_circ_inv, ref_psi_circ_inv),
+                     (psi_cap, ref_psi_cap), (psi_cap_inv, ref_psi_cap_inv)]
+
+
+def _outcome(fn, tree):
+    try:
+        return fn(tree)
+    except MembershipError as exc:
+        return "MembershipError", str(exc)
+
+
+def _assert_matches_reference(tree, n):
+    for fn, ref in PSI_AND_REFERENCE:
+        assert _outcome(fn, tree) == _outcome(ref, tree), (fn.__name__, tree)
+    if not is_starred(tree):
+        for k in range(1, n + 2):
+            assert _raise_rightmost_leaf(tree, k) == \
+                ref_label_rightmost_leaf(_ref_shift(tree, k, 1), k), (k, tree)
+    elif n >= 2:
+        assert _lower_rightmost_leaf(tree) == \
+            _ref_shift(ref_unlabel_rightmost_leaf(tree), rmlab(tree) + 1, -1), tree
+
+
+def grown_tree(rng, n):
+    """A random tree on 1..n: each label k in turn fills an empty slot or
+    hangs under a labelled leaf, as a labelled leaf or with two empty
+    leaves."""
+    nodes = {1: rng.choice((None, [EMPTY, EMPTY]))}
+    for k in range(2, n + 1):
+        v, i = rng.choice([(v, i) for v, kids in nodes.items() for i in (0, 1)
+                           if kids is None or kids[i] == EMPTY])
+        if nodes[v] is None:
+            nodes[v] = [EMPTY, EMPTY]
+        nodes[v][i] = k
+        nodes[k] = rng.choice((None, [EMPTY, EMPTY]))
+    return nodes_to_tree(1, nodes)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_psi_maps_match_the_node_map_reference(n):
+    for t in enumerate_trees(n):
+        _assert_matches_reference(t, n)
+
+
+def test_psi_maps_match_the_node_map_reference_at_large_n():
+    # the preimages under psi_star and psi_circ reach their rarer cases
+    rng = random.Random(20218)
+    seen = set()
+    for _ in range(100):
+        t = grown_tree(rng, rng.randint(20, 40))
+        pre = [_outcome(inv, t) for inv in (psi_star_inv, psi_circ_inv)]
+        for u in [t] + [out[0] for out in pre if out[0] != "MembershipError"]:
+            _assert_matches_reference(u, validate_tree(u))
+            seen.update(_outcome(fn, u)[1] for fn in (psi_star, psi_circ))
+    assert {"a", "b", "b-leaf", "b-branch"} <= seen
