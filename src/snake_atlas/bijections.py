@@ -29,11 +29,11 @@ tree afterwards.
 from __future__ import annotations
 
 from .errors import MembershipError
-from .forests import (BLACK, WHITE, _arranged_key, forest_to_tree,
-                      tree_to_forest, validate_forest)
-from .permutations import (augmenting_elements, check_window,
-                           expand_first_entry, expand_last_entry, is_member,
-                           shrink_first_entry, shrink_last_entry,
+from .forests import (BLACK, WHITE, _arranged_key, _forest_to_tree,
+                      _tree_to_forest, validate_forest)
+from .permutations import (check_window, expand_first_entry,
+                           expand_last_entry, shrink_first_entry,
+                           shrink_last_entry, _augmenting, _linked, _member,
                            _rl_min_positions, _simsun_levels_ok)
 from .trees import (EMPTY, _lower_rightmost_leaf, _raise_rightmost_leaf,
                     is_starred, nodes_to_tree, rmlab, tree_nodes,
@@ -190,10 +190,24 @@ def _type2_das(word):
 
 
 def _require_family(w, family: str, name: str):
-    if not is_member(w, family):
+    if not _member(w, family):
         signed = family.startswith("rsii") or family.startswith("adii")
         k = _simsun_levels_ok(w, signed=signed)
         raise MembershipError(f"{name}: input not in {family}", step=k)
+
+
+def _unlinked_chain(w):
+    """(prv, nxt, at) of ``permutations._linked`` after unlinking the
+    entries |x| = n, ..., 1 in turn: one O(n) pass.  An unlinked entry
+    keeps its own links, so relinking |x| = 1, ..., n in turn
+    (``nxt[prv[p]] = prv[nxt[p]] = p``) replays the restriction chain:
+    just before entry j is relinked, the list holds the level-(j-1)
+    restriction and j's links name its neighbours in the level-j one."""
+    prv, nxt, at = _linked(w)
+    for k in range(len(w), 0, -1):
+        p = at[k]
+        nxt[prv[p]], prv[nxt[p]] = nxt[p], prv[p]
+    return prv, nxt, at
 
 
 # -- phi1: type-I Simsun -> forests --------------------------------------
@@ -201,46 +215,50 @@ def _require_family(w, family: str, name: str):
 def phi1(window, trace: bool = False):
     w = check_window(window)
     _require_family(w, "rsi", "phi1")
+    return _phi1(w, trace)
+
+
+def _phi1(w, trace: bool = False):
+    """``phi1`` of an rsi member: step j reads the neighbours a, c of j in
+    the level-j restriction and the marks of a, c one level down, where
+    they are adjacent (``_type1_marks``, read off the linked list)."""
     n = len(w)
+    prv, nxt, at = _unlinked_chain(w)
+    key = [0] + [abs(x) for x in w] + [n + 1]
     b = _Builder()
     steps = []
-    prev = ()
     for j in range(1, n + 1):
-        sub = tuple(x for x in w if -j <= x <= j)
-        p = next(i for i, x in enumerate(sub) if abs(x) == j)
-        x = sub[p]
-        m = len(sub)
-        if j == 1 or p == m - 1:
+        p = at[j]
+        a, c = prv[p], nxt[p]
+        x = w[p - 1]
+        if c > n:
             b.colors[j] = WHITE if x > 0 else BLACK
             b.root_child[j] = EMPTY
             steps.append(("i", "new-root", j))
+        elif key[a] < key[c]:
+            y = w[c - 1]
+            if not key[a] < key[c] < key[nxt[c]]:
+                raise MembershipError(f"phi1: {y} is not a double-ascent element", step=j)
+            b.fill_empty_slot_of(abs(y), j)
+            b.kids[j] = [EMPTY, EMPTY] if x > 0 else None
+            steps.append(("ii", "fill-intermediate", abs(y)))
         else:
-            peaks, das = _type1_marks(prev)
-            prev_abs = abs(sub[p - 1]) if p > 0 else 0
-            nxt = sub[p + 1]
-            if prev_abs < abs(nxt):
-                y = nxt
-                if y not in das:
-                    raise MembershipError(f"phi1: {y} is not a double-ascent element", step=j)
-                b.fill_empty_slot_of(abs(y), j)
-                b.kids[j] = [EMPTY, EMPTY] if x > 0 else None
-                steps.append(("ii", "fill-intermediate", abs(y)))
+            y = w[a - 1]
+            if not key[prv[a]] < key[a] > key[c]:
+                raise MembershipError(f"phi1: {y} is not a peak", step=j)
+            v = abs(y)
+            if y > 0:
+                if b.kids.get(v) != [EMPTY, EMPTY]:
+                    raise MembershipError(f"phi1: node {v} should have two empty leaves", step=j)
+                b.kids[v][1] = j
             else:
-                y = sub[p - 1]
-                if y not in peaks:
-                    raise MembershipError(f"phi1: {y} is not a peak", step=j)
-                v = abs(y)
-                if y > 0:
-                    if b.kids.get(v) != [EMPTY, EMPTY]:
-                        raise MembershipError(f"phi1: node {v} should have two empty leaves", step=j)
-                    b.kids[v][1] = j
-                else:
-                    if b.kids.get(v, 0) is not None:
-                        raise MembershipError(f"phi1: node {v} should be a labelled leaf", step=j)
-                    b.kids[v] = [j, EMPTY]
-                b.kids[j] = [EMPTY, EMPTY] if x > 0 else None
-                steps.append(("iii", "attach-at-peak", y))
+                if b.kids.get(v, 0) is not None:
+                    raise MembershipError(f"phi1: node {v} should be a labelled leaf", step=j)
+                b.kids[v] = [j, EMPTY]
+            b.kids[j] = [EMPTY, EMPTY] if x > 0 else None
+            steps.append(("iii", "attach-at-peak", y))
         if CHECK_INVARIANTS:
+            sub = tuple(u for u in w if -j <= u <= j)
             peaks, das = _type1_marks(sub)
             terminal = [v for v in list(b.colors) + list(b.kids)
                         if b.node_status(v) == "terminal"]
@@ -248,13 +266,18 @@ def phi1(window, trace: bool = False):
                      if b.node_status(v) == "intermediate"]
             assert sorted(abs(y) for y in peaks) == sorted(terminal)
             assert sorted(abs(y) for y in das) == sorted(inter)
-        prev = sub
+        nxt[a] = prv[c] = p
     forest = b.to_forest()
     return (forest, steps) if trace else forest
 
 
 def phi1_inv(forest, trace: bool = False):
     validate_forest(forest)
+    return _phi1_inv(forest, trace)
+
+
+def _phi1_inv(forest, trace: bool = False):
+    """``phi1_inv`` of a forest that ``validate_forest`` accepted."""
     b = _Builder.from_forest(forest)
     n = len(b.colors) + len(b.kids)
     signs = _b1_signs(b, n)
@@ -320,52 +343,63 @@ def _type1_record(b: _Builder, j: int, slot) -> tuple:
 def phi2(window, trace: bool = False):
     w = check_window(window)
     _require_family(w, "rsii", "phi2")
+    return _phi2(w, trace)
+
+
+def _phi2(w, trace: bool = False):
+    """``phi2`` of an rsii member, read off the linked list as in ``_phi1``
+    but by signed value; a type-ii step ranks its target among the double
+    ascents of the level-(j-1) restriction by walking that list."""
     n = len(w)
+    prv, nxt, at = _unlinked_chain(w)
+    val = [-n - 1] + list(w) + [n + 1]
+
+    def double_ascent(q):
+        return val[prv[q]] < val[q] < val[nxt[q]]
+
     b = _Builder()
     steps = []
-    prev = ()
     for j in range(1, n + 1):
-        sub = tuple(x for x in w if -j <= x <= j)
-        p = next(i for i, x in enumerate(sub) if abs(x) == j)
-        x = sub[p]
-        m = len(sub)
-        if j == 1 or (p == m - 1 and x > 0) or (p == 0 and x < 0):
+        p = at[j]
+        a, c = prv[p], nxt[p]
+        x, y, z = val[p], val[a], val[c]
+        if (c > n and x > 0) or (a == 0 and x < 0):
             b.colors[j] = WHITE if x > 0 else BLACK
             b.root_child[j] = EMPTY
             steps.append(("i", "new-root", j))
+        elif y < z:
+            t = a if x < 0 else c
+            if not double_ascent(t):
+                raise MembershipError(f"phi2: {val[t]} is not a double-ascent element", step=j)
+            rank, q = 0, nxt[0]
+            while q != t:
+                rank += double_ascent(q)
+                q = nxt[q]
+            slots = b.singular_slots()
+            if rank >= len(slots):
+                raise MembershipError("phi2: singular leaf rank out of range", step=j)
+            b.fill_slot(slots[rank], j)
+            b.kids[j] = [EMPTY, EMPTY] if x > 0 else None
+            steps.append(("ii", "fill-singular", rank + 1))
         else:
-            y = sub[p - 1] if p > 0 else -(j + 1)
-            z = sub[p + 1] if p < m - 1 else j + 1
-            if y < z:
-                das = _type2_das(prev)
-                target = y if x < 0 else z
-                if target not in das:
-                    raise MembershipError(f"phi2: {target} is not a double-ascent element", step=j)
-                rank = das.index(target)
-                slots = b.singular_slots()
-                if rank >= len(slots):
-                    raise MembershipError("phi2: singular leaf rank out of range", step=j)
-                b.fill_slot(slots[rank], j)
-                b.kids[j] = [EMPTY, EMPTY] if x > 0 else None
-                steps.append(("ii", "fill-singular", rank + 1))
+            if abs(y) < abs(z):
+                if not z < 0:
+                    raise MembershipError("phi2: heavy bottom must be negative", step=j)
+                v = abs(z)
+                if b.kids.get(v, 0) is not None:
+                    raise MembershipError(f"phi2: node {v} should be a labelled leaf", step=j)
+                b.kids[v] = [j, EMPTY]
+                steps.append(("iii", "under-heavy-bottom", z))
             else:
-                if abs(y) < abs(z):
-                    if not z < 0:
-                        raise MembershipError("phi2: heavy bottom must be negative", step=j)
-                    v = abs(z)
-                    if b.kids.get(v, 0) is not None:
-                        raise MembershipError(f"phi2: node {v} should be a labelled leaf", step=j)
-                    b.kids[v] = [j, EMPTY]
-                    steps.append(("iii", "under-heavy-bottom", z))
-                else:
-                    if not y > 0:
-                        raise MembershipError("phi2: heavy top must be positive", step=j)
-                    if b.kids.get(y) != [EMPTY, EMPTY]:
-                        raise MembershipError(f"phi2: node {y} should have two empty leaves", step=j)
-                    b.kids[y][1] = j
-                    steps.append(("iii", "under-heavy-top", y))
-                b.kids[j] = [EMPTY, EMPTY] if x > 0 else None
+                if not y > 0:
+                    raise MembershipError("phi2: heavy top must be positive", step=j)
+                if b.kids.get(y) != [EMPTY, EMPTY]:
+                    raise MembershipError(f"phi2: node {y} should have two empty leaves", step=j)
+                b.kids[y][1] = j
+                steps.append(("iii", "under-heavy-top", y))
+            b.kids[j] = [EMPTY, EMPTY] if x > 0 else None
         if CHECK_INVARIANTS:
+            sub = tuple(u for u in w if -j <= u <= j)
             das = _type2_das(sub)
             heavies = [max(sub[i], sub[i + 1], key=abs)
                        for i in range(len(sub) - 1) if sub[i] > sub[i + 1]]
@@ -373,13 +407,18 @@ def phi2(window, trace: bool = False):
                         if b.node_status(v) == "terminal"]
             assert sorted(abs(h) for h in heavies) == sorted(terminal)
             assert len(das) == len(b.singular_slots())
-        prev = sub
+        nxt[a] = prv[c] = p
     forest = b.to_forest()
     return (forest, steps) if trace else forest
 
 
 def phi2_inv(forest, trace: bool = False):
     validate_forest(forest)
+    return _phi2_inv(forest, trace)
+
+
+def _phi2_inv(forest, trace: bool = False):
+    """``phi2_inv`` of a forest that ``validate_forest`` accepted."""
     b = _Builder.from_forest(forest)
     n = len(b.colors) + len(b.kids)
     signs = _b1_signs(b, n)
@@ -429,27 +468,35 @@ def _type2_record(b: _Builder, j: int, slot) -> tuple:
 
 
 # -- tree-valued variants -------------------------------------------------
+# Each map checks its input once and then runs the unchecked cores:
+# shrinking an rsi-d (rsii-d) member leaves an rsi-b (rsii-b) member,
+# which is in rsi (rsii), and a forest cut from a valid tree is valid.
 
 def phi1_b(window):
     w = check_window(window)
-    if not is_member(w, "rsi-b"):
+    if not _member(w, "rsi-b"):
         raise MembershipError("phi1_b: input not in rsi-b")
-    return forest_to_tree(phi1(w))
+    return _forest_to_tree(_phi1(w))
 
 
 def phi1_b_inv(tree):
-    w = phi1_inv(tree_to_forest(tree))
-    if not is_member(w, "rsi-b"):
+    validate_tree(tree)
+    return _phi1_b_inv(tree)
+
+
+def _phi1_b_inv(tree):
+    w = _phi1_inv(_tree_to_forest(tree))
+    if not _member(w, "rsi-b"):
         raise MembershipError("phi1_b_inv: tree is not a type-I B image")
     return w
 
 
 def phi1_d(window):
     w = check_window(window)
-    if not is_member(w, "rsi-d") or len(w) < 2:
+    if not _member(w, "rsi-d") or len(w) < 2:
         raise MembershipError("phi1_d: input not in rsi-d (size >= 2)")
     k = abs(w[-1])
-    tree = phi1_b(shrink_last_entry(w))
+    tree = _forest_to_tree(_phi1(shrink_last_entry(w)))
     return _raise_rightmost_leaf(tree, k)
 
 
@@ -460,33 +507,38 @@ def phi1_d_inv(tree):
     k = rmlab(tree)
     if k < 2:
         raise MembershipError("phi1_d_inv: rightmost label must be >= 2")
-    return expand_last_entry(phi1_b_inv(_lower_rightmost_leaf(tree)), k)
+    return expand_last_entry(_phi1_b_inv(_lower_rightmost_leaf(tree)), k)
 
 
 def phi2_b(window):
     w = check_window(window)
-    if not is_member(w, "rsii-b"):
+    if not _member(w, "rsii-b"):
         raise MembershipError("phi2_b: input not in rsii-b")
-    return forest_to_tree(phi2(w))
+    return _forest_to_tree(_phi2(w))
 
 
 def phi2_b_inv(tree):
-    w = phi2_inv(tree_to_forest(tree))
-    if not is_member(w, "rsii-b"):
+    validate_tree(tree)
+    return _phi2_b_inv(tree)
+
+
+def _phi2_b_inv(tree):
+    w = _phi2_inv(_tree_to_forest(tree))
+    if not _member(w, "rsii-b"):
         raise MembershipError("phi2_b_inv: tree is not a type-II B image")
     return w
 
 
 def phi2_d(window):
     w = check_window(window)
-    if not is_member(w, "rsii-d") or len(w) < 2:
+    if not _member(w, "rsii-d") or len(w) < 2:
         raise MembershipError("phi2_d: input not in rsii-d (size >= 2)")
     k = abs(w[0])
     shrunk = shrink_first_entry(w)
-    aug = augmenting_elements(shrunk)
+    aug = _augmenting(shrunk)
     if not aug or aug[-1] >= k:
         raise MembershipError("phi2_d: shrunk window lacks a smaller augmenting anchor")
-    tree = phi2_b(shrunk)
+    tree = _forest_to_tree(_phi2(shrunk))
     return _raise_rightmost_leaf(tree, k)
 
 
@@ -497,7 +549,7 @@ def phi2_d_inv(tree):
     k = rmlab(tree)
     if k < 2:
         raise MembershipError("phi2_d_inv: rightmost label must be >= 2")
-    return expand_first_entry(phi2_b_inv(_lower_rightmost_leaf(tree)), k)
+    return expand_first_entry(_phi2_b_inv(_lower_rightmost_leaf(tree)), k)
 
 
 # -- zeta maps -------------------------------------------------------------

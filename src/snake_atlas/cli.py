@@ -8,9 +8,10 @@ checks).  JSON is the machine default; CSV mirrors the printed table
 layouts for eyeballing.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 enumeration ceiling exceeded, 4 malformed JSON input, 5 input outside
-a map's domain.  The environment variable SNAKE_ATLAS_MAX_N raises or
-lowers every enumeration ceiling.
+3 size ceiling exceeded (an enumeration ceiling, or an input nested
+deeper than Python's recursion limit), 4 malformed JSON input, 5 input
+outside a map's domain.  The environment variable SNAKE_ATLAS_MAX_N
+raises or lowers every enumeration ceiling.
 """
 from __future__ import annotations
 
@@ -237,6 +238,10 @@ def main(argv=None) -> int:
         return args.fn(args)
     except LimitError as exc:
         sys.stderr.write(f"{exc}\n")
+        return EXIT_CEILING
+    except RecursionError:
+        sys.stderr.write("size ceiling exceeded: input nested too deeply "
+                         f"(recursion limit {sys.getrecursionlimit()})\n")
         return EXIT_CEILING
     except MembershipError as exc:
         sys.stderr.write(f"{exc}\n")

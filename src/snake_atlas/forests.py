@@ -157,6 +157,11 @@ def tree_to_forest(tree) -> tuple:
     become white roots, each keeping its left subtree as single child.
     Labels increase down the path, so the roots come out sorted."""
     validate_tree(tree)
+    return _tree_to_forest(tree)
+
+
+def _tree_to_forest(tree) -> tuple:
+    """``tree_to_forest`` of a tree that ``validate_tree`` accepted."""
     path = rightmost_path(tree)
     if not is_empty(path[-1]):
         raise MembershipError("the rightmost leaf must be empty")
@@ -167,6 +172,11 @@ def forest_to_tree(forest):
     """Rebuild the circ-class tree whose rightmost-path cut is the
     given all-white forest."""
     validate_forest(forest)
+    return _forest_to_tree(forest)
+
+
+def _forest_to_tree(forest):
+    """``forest_to_tree`` of a forest that ``validate_forest`` accepted."""
     if not is_all_white(forest):
         raise MembershipError("only all-white forests correspond to trees")
     return _regraft([comp[1:] for comp in forest], EMPTY)

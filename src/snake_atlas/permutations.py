@@ -42,13 +42,12 @@ Window = tuple
 
 def check_window(window) -> tuple[int, ...]:
     """Validate and normalize a signed-permutation window."""
-    w = tuple(int(x) for x in window)
-    n = len(w)
-    if n < 1:
+    w = tuple(map(int, window))
+    if not w:
         raise ValueError("window must be nonempty")
-    if any(x == 0 for x in w):
+    if 0 in w:
         raise ValueError("window entries must be nonzero")
-    if sorted(abs(x) for x in w) != list(range(1, n + 1)):
+    if sorted(map(abs, w)) != list(range(1, len(w) + 1)):
         raise ValueError("absolute values must be a permutation of 1..n")
     return w
 
@@ -102,7 +101,10 @@ def augmenting_elements(window) -> tuple[int, ...]:
     k is augmenting when the entry +k appears and every entry after it
     has absolute value greater than k.
     """
-    w = check_window(window)
+    return _augmenting(check_window(window))
+
+
+def _augmenting(w) -> tuple[int, ...]:
     n = len(w)
     out = []
     suffix_min = n + 1
@@ -122,11 +124,21 @@ def gae(window) -> int:
 
 
 def _gae_or_zero(w) -> int:
-    aug = augmenting_elements(w)
+    aug = _augmenting(w)
     return aug[-1] if aug else 0
 
 
 # -- building blocks for memberships ----------------------------------
+
+def _linked(w):
+    """(prv, nxt, at): the positions 1..n of w as a doubly linked list
+    between the sentinels 0 and n + 1, and at[|x|] = the position of x."""
+    n = len(w)
+    at = [0] * (n + 1)
+    for i, x in enumerate(w, 1):
+        at[abs(x)] = i
+    return [0] + list(range(n + 1)), list(range(1, n + 2)) + [n + 1], at
+
 
 def _bad_levels(w, signed: bool, need_ascent: bool):
     """Levels k = n, ..., 2, largest first, whose restriction of w (of |w|
@@ -138,11 +150,7 @@ def _bad_levels(w, signed: bool, need_ascent: bool):
     stays current."""
     n = len(w)
     v = [-n - 1] + [x if signed else abs(x) for x in w] + [n + 1]
-    prv = [0] + list(range(n + 1))
-    nxt = list(range(1, n + 2)) + [n + 1]
-    at = [0] * (n + 1)
-    for i, x in enumerate(w, 1):
-        at[abs(x)] = i
+    prv, nxt, at = _linked(w)
     count = sum(x > y > z for x, y, z in zip(v, v[1:], v[2:]))
     for k in range(n, 1, -1):
         last = prv[n + 1]
@@ -246,14 +254,18 @@ def expand_first_entry(w, k: int) -> tuple[int, ...]:
 
 def is_member(window, family: str) -> bool:
     """Membership test for any of the FAMILY_TAGS families."""
-    w = check_window(window)
+    return _member(check_window(window), family)
+
+
+def _member(w, family: str) -> bool:
+    """``is_member`` for a window that ``check_window`` already returned."""
     if family not in FAMILY_TAGS:
         raise ValueError(f"unknown family {family!r}")
     all_positive = all(x > 0 for x in w)
     if family == "snakes":
         return _alternates(w)
     if family == "gamma-snakes":
-        return is_gamma_snake(w)
+        return _alternates(w) and (-1) ** len(w) * w[-1] < 0
     if family == "alternating-unsigned":
         return all_positive and _alternates(w)
     if family == "simsun-unsigned":
@@ -287,7 +299,7 @@ def is_member(window, family: str) -> bool:
             # which is what the index-shifting bijection requires.
             if len(w) < 2 or w[-1] >= 0 or not abs(w[-1]) > w[-2]:
                 return False
-            return is_member(shrink_last_entry(w), "adi-b")
+            return _member(shrink_last_entry(w), "adi-b")
         return True
     # adii family group
     if 1 not in w or not _andre_levels_ok(w, signed=True):

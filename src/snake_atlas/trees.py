@@ -398,10 +398,10 @@ def tree_to_snake(tree) -> tuple[int, ...]:
 
 def snake_to_tree(window):
     """Inverse of tree_to_snake; rejects windows that do not alternate."""
-    from .permutations import check_window, is_beta_snake
+    from .permutations import _alternates, check_window
 
     w = check_window(window)
-    if not is_beta_snake(w):
+    if not _alternates(w):
         raise MembershipError("input window is not alternating")
     n = len(w)
     rev = tuple(reversed(w))

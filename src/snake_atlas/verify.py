@@ -441,11 +441,13 @@ def check_thm_4_5(n_max: int):
             return bad
         for k in range(1, n + 1):
             for w in enumerate_family("adi-b", n + 1, ("last", k + 1)):
-                if not is_member(zeta1(w), "rsi-b") or zeta1(w)[-1] != k:
-                    return _fail(f"B index of {w}", f"last entry {k}", zeta1(w))
+                u = zeta1(w)
+                if not is_member(u, "rsi-b") or u[-1] != k:
+                    return _fail(f"B index of {w}", f"last entry {k}", u)
             for w in enumerate_family("adi-d", n + 1, ("last", -k - 1)):
-                if not is_member(zeta1(w), "rsi-d") or zeta1(w)[-1] != -k:
-                    return _fail(f"D index of {w}", f"last entry {-k}", zeta1(w))
+                u = zeta1(w)
+                if not is_member(u, "rsi-d") or u[-1] != -k:
+                    return _fail(f"D index of {w}", f"last entry {-k}", u)
     return _worked_example(zeta1, zeta1_inv, fx.ZETA1_EXAMPLE)
 
 
@@ -483,11 +485,13 @@ def check_thm_5_4(n_max: int):
             return bad
         for k in range(1, n + 1):
             for w in enumerate_family("adii-b", n + 1, ("last", k + 1)):
-                if not is_member(zeta2(w), "rsii-b") or gae(zeta2(w)) != k:
-                    return _fail(f"B index of {w}", f"greatest augmenting {k}", zeta2(w))
+                u = zeta2(w)
+                if not is_member(u, "rsii-b") or gae(u) != k:
+                    return _fail(f"B index of {w}", f"greatest augmenting {k}", u)
             for w in enumerate_family("adii-d", n + 1, ("first", -k - 1)):
-                if not is_member(zeta2(w), "rsii-d") or zeta2(w)[0] != -k:
-                    return _fail(f"D index of {w}", f"first entry {-k}", zeta2(w))
+                u = zeta2(w)
+                if not is_member(u, "rsii-d") or u[0] != -k:
+                    return _fail(f"D index of {w}", f"first entry {-k}", u)
     return _worked_example(zeta2, zeta2_inv, fx.ZETA2_EXAMPLE)
 
 

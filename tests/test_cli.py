@@ -381,3 +381,24 @@ def test_python_dash_m_matches_cli_main(capsys):
                        env={**os.environ, "PYTHONPATH": path})
     assert code == 0 and err == ""
     assert (r.returncode, r.stdout, r.stderr) == (code, out, err)
+
+
+# A right comb 1 -> 2 -> ... -> 1200 along empty left leaves nests deeper
+# than the recursion limit in both input forms.
+DEEP_WORD = json.dumps([x for i in range(1, 1200) for x in ("e", i)] + [1200])
+DEEP_NESTED = '{"leaf": 1200}'
+for _i in range(1199, 0, -1):
+    DEEP_NESTED = f'{{"label": {_i}, "left": "empty", "right": {DEEP_NESTED}}}'
+
+
+@pytest.mark.parametrize("form", [DEEP_WORD, DEEP_NESTED], ids=["word", "nested"])
+@pytest.mark.parametrize("name, direction", [
+    ("gamma", "forward"), ("psi-cap", "forward"), ("psi-star", "inverse"),
+    ("mu", "forward"), ("phi1-b", "inverse"), ("phi2-d", "inverse"),
+])
+def test_too_deep_a_tree_is_a_size_ceiling(capsys, form, name, direction):
+    code, out, err = run(capsys, "bijection", "--name", name,
+                         "--direction", direction, "--input", form)
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith("size ceiling exceeded: ")
