@@ -15,7 +15,8 @@ from snake_atlas.verify import run_all
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n-max", type=_int_at_least(1), default=None)
-    parser.add_argument("--out", default=None, help="optional JSON report path")
+    parser.add_argument("--out", type=argparse.FileType("w", encoding="utf-8"),
+                        default=None, help="optional JSON report path")
     args = parser.parse_args()
 
     try:
@@ -30,9 +31,9 @@ def main():
         print(line)
     payload = [r.to_json() for r in reports]
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with args.out as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
-        print(f"report written to {args.out}")
+        print(f"report written to {args.out.name}")
     failures = [r for r in reports if r.status != "pass"]
     print(f"{len(reports) - len(failures)}/{len(reports)} checks passed")
     return 1 if failures else 0

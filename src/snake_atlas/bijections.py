@@ -39,18 +39,17 @@ from .trees import (EMPTY, _lower_rightmost_leaf, _raise_rightmost_leaf,
                     is_starred, nodes_to_tree, rmlab, tree_nodes,
                     validate_tree)
 
-# When enabled, the forward algorithms assert the step-by-step
-# correspondence between word marks and node classes.
-CHECK_INVARIANTS = False
-
 
 class _Builder:
-    """Mutable forest under construction, keyed by node label."""
+    """Mutable forest under construction, keyed by node label: a root
+    holds its one child slot (``[EMPTY]`` or ``[label]``), an inner node
+    its two (``[l, r]``), a labelled leaf ``None``.  A slot is ``(v, i)``,
+    the i-th child slot of v.  The non-root entries are the
+    ``trees.tree_nodes`` node map."""
 
     def __init__(self):
-        self.colors = {}      # root label -> BLACK | WHITE
-        self.root_child = {}  # root label -> EMPTY | label
-        self.kids = {}        # non-root nodes, in the trees.tree_nodes node map
+        self.colors = {}  # root label -> BLACK | WHITE
+        self.kids = {}    # label -> [c] | [l, r] | None
 
     @staticmethod
     def from_forest(forest) -> "_Builder":
@@ -58,97 +57,57 @@ class _Builder:
         for color, root, child in forest:
             b.colors[root] = color
             if child == EMPTY:
-                b.root_child[root] = EMPTY
+                b.kids[root] = [EMPTY]
             else:
-                b.root_child[root], nodes = tree_nodes(child)
+                c, nodes = tree_nodes(child)
+                b.kids[root] = [c]
                 b.kids.update(nodes)
         return b
 
     def to_forest(self) -> tuple:
-        return tuple((self.colors[root], root,
-                      EMPTY if c == EMPTY else nodes_to_tree(c, self.kids))
-                     for root, c in sorted(self.root_child.items()))
+        def child(root):
+            c = self.kids[root][0]
+            return EMPTY if c == EMPTY else nodes_to_tree(c, self.kids)
 
-    def parent_of(self, v):
-        """(kind, ...) locating v's parent slot."""
-        for root, c in self.root_child.items():
-            if c == v:
-                return ("root", root)
-        for u, kid in self.kids.items():
-            if kid and v in kid:
-                return ("kid", u, kid.index(v))
-        return None
-
-    def fill_empty_slot_of(self, v: int, j: int):
-        """Label the unique empty leaf hanging from the intermediate node v."""
-        if v in self.colors:
-            if self.root_child[v] != EMPTY:
-                raise MembershipError(f"root {v} has no empty child")
-            self.root_child[v] = j
-            return
-        kid = self.kids[v]
-        if kid is None or kid.count(EMPTY) != 1:
-            raise MembershipError(f"node {v} is not intermediate")
-        kid[kid.index(EMPTY)] = j
+        return tuple((self.colors[root], root, child(root)) for root in sorted(self.colors))
 
     def singular_slots(self):
-        """Singular empty leaves left to right in the arranged layout.
-
-        A slot is ("root", r) for the lone child of a root, or
-        ("kid", v, i) for an empty slot whose sibling is labelled.
-        """
+        """Singular empty leaves left to right in the arranged layout: the
+        empty slot of a node that has exactly one (a root's lone slot
+        included)."""
         slots = []
 
         def walk(v):
             kid = self.kids[v]
             if kid is None:
                 return
-            l, r = kid
-            if l == EMPTY:
-                if r != EMPTY:
-                    slots.append(("kid", v, 0))
-            else:
-                walk(l)
-            if r == EMPTY:
-                if l != EMPTY:
-                    slots.append(("kid", v, 1))
-            else:
-                walk(r)
+            lone = kid.count(EMPTY) == 1
+            for i, c in enumerate(kid):
+                if c != EMPTY:
+                    walk(c)
+                elif lone:
+                    slots.append((v, i))
 
         for root in sorted(self.colors, key=lambda r: _arranged_key(self.colors[r], r)):
-            c = self.root_child[root]
-            if c == EMPTY:
-                slots.append(("root", root))
-            else:
-                walk(c)
+            walk(root)
         return slots
-
-    def fill_slot(self, slot, j: int):
-        if slot[0] == "root":
-            self.root_child[slot[1]] = j
-        else:
-            self.kids[slot[1]][slot[2]] = j
 
     def node_status(self, v):
         """'terminal' | 'intermediate' | 'plain' for the current shape."""
-        if v in self.colors:
-            return "intermediate" if self.root_child[v] == EMPTY else "plain"
         kid = self.kids[v]
         if kid is None or kid == [EMPTY, EMPTY]:
             return "terminal"
-        if EMPTY in kid:
-            return "intermediate"
-        return "plain"
+        return "intermediate" if EMPTY in kid else "plain"
 
 
 def _b1_signs(b: _Builder, n: int) -> dict:
     """Sign each labelled node; empty slots count as larger than any label."""
     signs = {}
-    for r, color in b.colors.items():
-        signs[r] = 1 if color == WHITE else -1
     big = n + 1
     for v, kid in b.kids.items():
-        if kid is None:
+        if v in b.colors:
+            signs[v] = 1 if b.colors[v] == WHITE else -1
+        elif kid is None:
             signs[v] = -1
         elif kid == [EMPTY, EMPTY]:
             signs[v] = 1
@@ -160,22 +119,6 @@ def _b1_signs(b: _Builder, n: int) -> dict:
 
 
 # -- word marks ----------------------------------------------------------
-
-def _type1_marks(word):
-    """(peaks, double_ascents) of a word, compared by absolute value
-    with 0 padded on the left and a maximal value on the right."""
-    a = [abs(x) for x in word]
-    m = len(a)
-    peaks, das = [], []
-    for i, x in enumerate(word):
-        prev = a[i - 1] if i > 0 else 0
-        nxt = a[i + 1] if i < m - 1 else m + 1
-        if prev < a[i] > nxt:
-            peaks.append(x)
-        elif prev < a[i] < nxt:
-            das.append(x)
-    return peaks, das
-
 
 def _type2_das(word):
     """Double-ascent elements of a signed word padded with -(m+1), m+1."""
@@ -221,7 +164,8 @@ def phi1(window, trace: bool = False):
 def _phi1(w, trace: bool = False):
     """``phi1`` of an rsi member: step j reads the neighbours a, c of j in
     the level-j restriction and the marks of a, c one level down, where
-    they are adjacent (``_type1_marks``, read off the linked list)."""
+    they are adjacent (peaks and double ascents of the absolute word,
+    read off the linked list)."""
     n = len(w)
     prv, nxt, at = _unlinked_chain(w)
     key = [0] + [abs(x) for x in w] + [n + 1]
@@ -233,15 +177,19 @@ def _phi1(w, trace: bool = False):
         x = w[p - 1]
         if c > n:
             b.colors[j] = WHITE if x > 0 else BLACK
-            b.root_child[j] = EMPTY
+            b.kids[j] = [EMPTY]
             steps.append(("i", "new-root", j))
         elif key[a] < key[c]:
             y = w[c - 1]
             if not key[a] < key[c] < key[nxt[c]]:
                 raise MembershipError(f"phi1: {y} is not a double-ascent element", step=j)
-            b.fill_empty_slot_of(abs(y), j)
+            v = abs(y)
+            kid = b.kids[v]
+            if kid is None or kid.count(EMPTY) != 1:
+                raise MembershipError(f"node {v} is not intermediate")
+            kid[kid.index(EMPTY)] = j
             b.kids[j] = [EMPTY, EMPTY] if x > 0 else None
-            steps.append(("ii", "fill-intermediate", abs(y)))
+            steps.append(("ii", "fill-intermediate", v))
         else:
             y = w[a - 1]
             if not key[prv[a]] < key[a] > key[c]:
@@ -257,15 +205,6 @@ def _phi1(w, trace: bool = False):
                 b.kids[v] = [j, EMPTY]
             b.kids[j] = [EMPTY, EMPTY] if x > 0 else None
             steps.append(("iii", "attach-at-peak", y))
-        if CHECK_INVARIANTS:
-            sub = tuple(u for u in w if -j <= u <= j)
-            peaks, das = _type1_marks(sub)
-            terminal = [v for v in list(b.colors) + list(b.kids)
-                        if b.node_status(v) == "terminal"]
-            inter = [v for v in list(b.colors) + list(b.kids)
-                     if b.node_status(v) == "intermediate"]
-            assert sorted(abs(y) for y in peaks) == sorted(terminal)
-            assert sorted(abs(y) for y in das) == sorted(inter)
         nxt[a] = prv[c] = p
     forest = b.to_forest()
     return (forest, steps) if trace else forest
@@ -279,7 +218,7 @@ def phi1_inv(forest, trace: bool = False):
 def _phi1_inv(forest, trace: bool = False):
     """``phi1_inv`` of a forest that ``validate_forest`` accepted."""
     b = _Builder.from_forest(forest)
-    n = len(b.colors) + len(b.kids)
+    n = len(b.kids)
     signs = _b1_signs(b, n)
     records = _peel(b, signs, n, _type1_record)
     word = [signs[1] * 1]
@@ -305,33 +244,33 @@ def _phi1_inv(forest, trace: bool = False):
 def _peel(b: _Builder, signs: dict, n: int, record) -> dict:
     """Remove labels n..2, keeping for each how to replay it: ("root",)
     for a root, else ``record(b, j, slot)`` once j is unhooked from the
-    vacated ``slot`` (as located by ``parent_of``)."""
+    vacated ``slot``.  Parents are read once, before the first label
+    goes: peeling from the top never moves a node that is left."""
+    parent = {c: (v, i) for v, kid in b.kids.items() if kid
+              for i, c in enumerate(kid) if c != EMPTY}
     records = {}
     for j in range(n, 1, -1):
+        del b.kids[j]
         if j in b.colors:
             del b.colors[j]
-            del b.root_child[j]
             records[j] = ("root",)
             continue
-        slot = b.parent_of(j)
+        slot = parent.get(j)
         if slot is None:
             raise MembershipError(f"node {j} is unreachable")
-        del b.kids[j]
-        v = slot[1]
-        if slot[0] == "root":
-            b.root_child[v] = EMPTY
-        else:
-            b.kids[v][slot[2]] = EMPTY
-            if signs[v] == -1 and b.kids[v] == [EMPTY, EMPTY]:
-                b.kids[v] = None
+        v, i = slot
+        kid = b.kids[v]
+        kid[i] = EMPTY
+        if signs[v] == -1 and kid == [EMPTY, EMPTY]:
+            b.kids[v] = None
         records[j] = record(b, j, slot)
-    if list(b.colors) != [1] or b.root_child[1] != EMPTY:
+    if list(b.colors) != [1] or b.kids[1] != [EMPTY]:
         raise MembershipError("peeling did not terminate at a single root 1")
     return records
 
 
 def _type1_record(b: _Builder, j: int, slot) -> tuple:
-    v = slot[1]
+    v = slot[0]
     status = b.node_status(v)
     if status == "plain":
         raise MembershipError(f"parent {v} of {j} has no empty slot after peeling")
@@ -365,7 +304,7 @@ def _phi2(w, trace: bool = False):
         x, y, z = val[p], val[a], val[c]
         if (c > n and x > 0) or (a == 0 and x < 0):
             b.colors[j] = WHITE if x > 0 else BLACK
-            b.root_child[j] = EMPTY
+            b.kids[j] = [EMPTY]
             steps.append(("i", "new-root", j))
         elif y < z:
             t = a if x < 0 else c
@@ -378,7 +317,8 @@ def _phi2(w, trace: bool = False):
             slots = b.singular_slots()
             if rank >= len(slots):
                 raise MembershipError("phi2: singular leaf rank out of range", step=j)
-            b.fill_slot(slots[rank], j)
+            v, i = slots[rank]
+            b.kids[v][i] = j
             b.kids[j] = [EMPTY, EMPTY] if x > 0 else None
             steps.append(("ii", "fill-singular", rank + 1))
         else:
@@ -398,15 +338,6 @@ def _phi2(w, trace: bool = False):
                 b.kids[y][1] = j
                 steps.append(("iii", "under-heavy-top", y))
             b.kids[j] = [EMPTY, EMPTY] if x > 0 else None
-        if CHECK_INVARIANTS:
-            sub = tuple(u for u in w if -j <= u <= j)
-            das = _type2_das(sub)
-            heavies = [max(sub[i], sub[i + 1], key=abs)
-                       for i in range(len(sub) - 1) if sub[i] > sub[i + 1]]
-            terminal = [v for v in list(b.colors) + list(b.kids)
-                        if b.node_status(v) == "terminal"]
-            assert sorted(abs(h) for h in heavies) == sorted(terminal)
-            assert len(das) == len(b.singular_slots())
         nxt[a] = prv[c] = p
     forest = b.to_forest()
     return (forest, steps) if trace else forest
@@ -420,7 +351,7 @@ def phi2_inv(forest, trace: bool = False):
 def _phi2_inv(forest, trace: bool = False):
     """``phi2_inv`` of a forest that ``validate_forest`` accepted."""
     b = _Builder.from_forest(forest)
-    n = len(b.colors) + len(b.kids)
+    n = len(b.kids)
     signs = _b1_signs(b, n)
     root_colors = dict(b.colors)
     records = _peel(b, signs, n, _type2_record)
@@ -458,7 +389,7 @@ def _phi2_inv(forest, trace: bool = False):
 
 
 def _type2_record(b: _Builder, j: int, slot) -> tuple:
-    v = slot[1]
+    v = slot[0]
     if b.node_status(v) == "terminal":
         return ("terminal", v)
     slots = b.singular_slots()

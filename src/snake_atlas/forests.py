@@ -15,7 +15,7 @@ from __future__ import annotations
 from operator import itemgetter
 
 from .errors import MembershipError, enforce_ceiling
-from .trees import (EMPTY, _keyed_trees, _labels, _regraft, _splits, emp,
+from .trees import (EMPTY, _keyed_trees, _regraft, _splits, _walk_shape, emp,
                     inorder_word, is_empty, is_leaf, label_from_json,
                     node_from_json, rightmost_path, tree_to_json,
                     validate_tree, word_sort_key)
@@ -31,34 +31,18 @@ def validate_forest(forest) -> int:
     labels = []
     roots = []
     for comp in forest:
-        if len(comp) != 3 or comp[0] not in (BLACK, WHITE):
+        if len(comp) != 3 or comp[0] not in (BLACK, WHITE) or type(comp[1]) is not int:
             raise ValueError(f"malformed component {comp!r}")
         color, root, child = comp
         roots.append(root)
         labels.append(root)
-        if not is_empty(child):
-            if child[0] <= root:
-                raise ValueError("labels must increase below the root")
-            labels.extend(_labels(child))
+        _walk_shape(child, root, labels)
     if roots != sorted(roots):
         raise ValueError("components must be sorted by root label")
     n = len(labels)
     if sorted(labels) != list(range(1, n + 1)):
         raise ValueError("labels must be exactly 1..n")
-    for comp in forest:
-        if not is_empty(comp[2]):
-            _check_shape(comp[2])
     return n
-
-
-def _check_shape(node):
-    if is_leaf(node):
-        return
-    for c in (node[1], node[2]):
-        if not is_empty(c):
-            if c[0] <= node[0]:
-                raise ValueError("labels must increase downward")
-            _check_shape(c)
 
 
 def emp_forest(forest) -> int:

@@ -40,24 +40,27 @@ def is_leaf(node) -> bool:
     return len(node) == 1
 
 
+def _walk_shape(node, lo: int, labels: list) -> None:
+    """Append the labels of ``node``, hung below label ``lo``, to
+    ``labels``; every node must be a 1- or 3-tuple whose label is an
+    ``int`` (not a ``bool``) larger than its parent's."""
+    if is_empty(node):
+        return
+    if not isinstance(node, tuple) or len(node) not in (1, 3):
+        raise ValueError(f"malformed node {node!r}")
+    k = node[0]
+    if type(k) is not int or k <= lo:
+        raise ValueError(f"labels must increase from the root (saw {k} under {lo})")
+    labels.append(k)
+    if len(node) == 3:
+        _walk_shape(node[1], k, labels)
+        _walk_shape(node[2], k, labels)
+
+
 def validate_tree(tree, n: int | None = None) -> int:
     """Check completeness, label coverage and the increasing property."""
     labels = []
-
-    def walk(node, lo):
-        if is_empty(node):
-            return
-        if not isinstance(node, tuple) or len(node) not in (1, 3):
-            raise ValueError(f"malformed node {node!r}")
-        k = node[0]
-        if not isinstance(k, int) or k <= lo:
-            raise ValueError(f"labels must increase from the root (saw {k} under {lo})")
-        labels.append(k)
-        if len(node) == 3:
-            walk(node[1], k)
-            walk(node[2], k)
-
-    walk(tree, 0)
+    _walk_shape(tree, 0, labels)
     size = len(labels)
     if sorted(labels) != list(range(1, size + 1)):
         raise ValueError("labels must be exactly 1..n")

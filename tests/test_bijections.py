@@ -1,7 +1,6 @@
 """The permutation-level bijections and their published worked examples."""
 import pytest
 
-import snake_atlas.bijections as bj
 from snake_atlas import fixtures as fx
 from snake_atlas.bijections import (phi1, phi1_b, phi1_b_inv, phi1_d,
                                     phi1_d_inv, phi1_inv, phi2, phi2_b,
@@ -13,13 +12,6 @@ from snake_atlas.forests import (BLACK, WHITE, emp_forest, enumerate_forests,
 from snake_atlas.permutations import enumerate_family, gae, is_member, npk, nva
 from snake_atlas.trees import (EMPTY, emp, enumerate_trees, inorder_word,
                                is_starred, rmlab, word_sort_key)
-
-
-@pytest.fixture(autouse=True)
-def step_invariants():
-    bj.CHECK_INVARIANTS = True
-    yield
-    bj.CHECK_INVARIANTS = False
 
 
 def keyset(ts):

@@ -4,46 +4,191 @@ window-input map checks its domain once.
 The reference below is the level-by-level form of the two insertion
 bijections: each step rebuilds the restriction from the whole window,
 finds j in it and reads the peaks and double ascents of the previous
-restriction.  Next to it is the check chain in which each map validates
+restriction.  It runs on its own forest builder, with a root's child
+kept apart from the node map, so it shares no forest code with the maps
+it checks.  Next to it is the check chain in which each map validates
 its input and then calls the public map it builds on, which validates
 again.  The tests pin images, traces, exception types, messages and
 ``MembershipError.step`` against that reference.
+
+The node classes of a forest mirror the marks of its word (peaks and
+double ascents for phi1; heavy descent elements and double ascents for
+phi2).  The level-j state of ``phi(w)`` is the final state of
+``phi(subword(w, j))``, so the classes are checked on the final forest
+of every member up to n = 7 and at every level of the large windows.
 """
 import functools
 import random
 
 import pytest
 
-import snake_atlas.bijections as bj
 from snake_atlas import fixtures as fx
-from snake_atlas.bijections import (_type1_marks, _type2_das, phi1, phi1_b,
+from snake_atlas.bijections import (_type2_das, phi1, phi1_b,
                                     phi1_d, phi1_inv, phi2, phi2_b, phi2_d,
                                     phi2_inv, zeta1, zeta1_inv, zeta2,
                                     zeta2_inv, _augmenting_positions, _slide,
                                     _unslide)
 from snake_atlas.errors import MembershipError
-from snake_atlas.forests import (BLACK, WHITE, _tree_to_forest,
-                                 forest_to_tree, validate_forest)
+from snake_atlas.forests import (BLACK, WHITE, _arranged_key,
+                                 _tree_to_forest, forest_to_tree,
+                                 validate_forest)
 from snake_atlas.permutations import (_rl_min_positions, _simsun_levels_ok,
                                       all_windows, augmenting_elements,
                                       enumerate_family, is_beta_snake,
                                       is_member, shrink_first_entry,
-                                      shrink_last_entry)
+                                      shrink_last_entry, subword)
 from snake_atlas.trees import (EMPTY, _raise_rightmost_leaf, enumerate_trees,
-                               snake_to_tree, tree_to_snake)
+                               nodes_to_tree, snake_to_tree, tree_nodes,
+                               tree_to_snake)
 
 
-@pytest.fixture(autouse=True)
-def step_invariants():
-    bj.CHECK_INVARIANTS = True
-    yield
-    bj.CHECK_INVARIANTS = False
+# -- reference: the forest builder with its root slots kept apart -----------
+
+class _Builder:
+    """Mutable forest under construction, keyed by node label."""
+
+    def __init__(self):
+        self.colors = {}      # root label -> BLACK | WHITE
+        self.root_child = {}  # root label -> EMPTY | label
+        self.kids = {}        # non-root nodes, in the trees.tree_nodes node map
+
+    @staticmethod
+    def from_forest(forest) -> "_Builder":
+        b = _Builder()
+        for color, root, child in forest:
+            b.colors[root] = color
+            if child == EMPTY:
+                b.root_child[root] = EMPTY
+            else:
+                b.root_child[root], nodes = tree_nodes(child)
+                b.kids.update(nodes)
+        return b
+
+    def to_forest(self) -> tuple:
+        return tuple((self.colors[root], root,
+                      EMPTY if c == EMPTY else nodes_to_tree(c, self.kids))
+                     for root, c in sorted(self.root_child.items()))
+
+    def parent_of(self, v):
+        """(kind, ...) locating v's parent slot."""
+        for root, c in self.root_child.items():
+            if c == v:
+                return ("root", root)
+        for u, kid in self.kids.items():
+            if kid and v in kid:
+                return ("kid", u, kid.index(v))
+        return None
+
+    def fill_empty_slot_of(self, v: int, j: int):
+        """Label the unique empty leaf hanging from the intermediate node v."""
+        if v in self.colors:
+            if self.root_child[v] != EMPTY:
+                raise MembershipError(f"root {v} has no empty child")
+            self.root_child[v] = j
+            return
+        kid = self.kids[v]
+        if kid is None or kid.count(EMPTY) != 1:
+            raise MembershipError(f"node {v} is not intermediate")
+        kid[kid.index(EMPTY)] = j
+
+    def singular_slots(self):
+        """Singular empty leaves left to right in the arranged layout.
+
+        A slot is ("root", r) for the lone child of a root, or
+        ("kid", v, i) for an empty slot whose sibling is labelled.
+        """
+        slots = []
+
+        def walk(v):
+            kid = self.kids[v]
+            if kid is None:
+                return
+            l, r = kid
+            if l == EMPTY:
+                if r != EMPTY:
+                    slots.append(("kid", v, 0))
+            else:
+                walk(l)
+            if r == EMPTY:
+                if l != EMPTY:
+                    slots.append(("kid", v, 1))
+            else:
+                walk(r)
+
+        for root in sorted(self.colors, key=lambda r: _arranged_key(self.colors[r], r)):
+            c = self.root_child[root]
+            if c == EMPTY:
+                slots.append(("root", root))
+            else:
+                walk(c)
+        return slots
+
+    def fill_slot(self, slot, j: int):
+        if slot[0] == "root":
+            self.root_child[slot[1]] = j
+        else:
+            self.kids[slot[1]][slot[2]] = j
+
+    def node_status(self, v):
+        """'terminal' | 'intermediate' | 'plain' for the current shape."""
+        if v in self.colors:
+            return "intermediate" if self.root_child[v] == EMPTY else "plain"
+        kid = self.kids[v]
+        if kid is None or kid == [EMPTY, EMPTY]:
+            return "terminal"
+        if EMPTY in kid:
+            return "intermediate"
+        return "plain"
+
+
+def _type1_marks(word):
+    """(peaks, double_ascents) of a word, compared by absolute value
+    with 0 padded on the left and a maximal value on the right."""
+    a = [abs(x) for x in word]
+    m = len(a)
+    peaks, das = [], []
+    for i, x in enumerate(word):
+        prev = a[i - 1] if i > 0 else 0
+        nxt = a[i + 1] if i < m - 1 else m + 1
+        if prev < a[i] > nxt:
+            peaks.append(x)
+        elif prev < a[i] < nxt:
+            das.append(x)
+    return peaks, das
+
+
+# -- the node classes of an image, against the marks of its word ------------
+
+def _statuses(forest):
+    b = _Builder.from_forest(forest)
+    return b, {v: b.node_status(v) for v in list(b.colors) + list(b.kids)}
+
+
+def type1_classes_hold(w, forest):
+    """The terminal nodes of phi1(w) are the peaks of w, and its
+    intermediate nodes the double ascents."""
+    peaks, das = _type1_marks(w)
+    _, status = _statuses(forest)
+    return (sorted(abs(y) for y in peaks) == sorted(v for v in status if status[v] == "terminal")
+            and sorted(abs(y) for y in das) == sorted(v for v in status if status[v] == "intermediate"))
+
+
+def type2_classes_hold(w, forest):
+    """The terminal nodes of phi2(w) are the heavier elements of the
+    descents of w, and it has one singular empty leaf per double ascent."""
+    heavies = [max(w[i], w[i + 1], key=abs) for i in range(len(w) - 1) if w[i] > w[i + 1]]
+    b, status = _statuses(forest)
+    return (sorted(abs(h) for h in heavies) == sorted(v for v in status if status[v] == "terminal")
+            and len(_type2_das(w)) == len(b.singular_slots()))
+
+
+CLASSES_HOLD = {phi1: type1_classes_hold, phi2: type2_classes_hold}
 
 
 # -- reference: the restriction rebuilt at every step ----------------------
 
 def ref_phi1(w):
-    b = bj._Builder()
+    b = _Builder()
     steps = []
     prev = ()
     for j in range(1, len(w) + 1):
@@ -86,7 +231,7 @@ def ref_phi1(w):
 
 
 def ref_phi2(w):
-    b = bj._Builder()
+    b = _Builder()
     steps = []
     prev = ()
     for j in range(1, len(w) + 1):
@@ -265,9 +410,21 @@ def outcome(fn, window):
 
 @pytest.mark.parametrize("family, fn, ref", [("rsi", phi1, ref_phi1), ("rsii", phi2, ref_phi2)])
 def test_phi_matches_the_reference_on_every_window_up_to_7(family, fn, ref):
+    classes_hold = CLASSES_HOLD[fn]
     for n in range(1, 8):
         for w in enumerate_family(family, n):
-            assert fn(w, trace=True) == ref(w), w
+            image = fn(w, trace=True)
+            assert image == ref(w) and classes_hold(w, image[0]), w
+
+
+@pytest.mark.parametrize("family, fn", [("rsi", phi1), ("rsii", phi2)])
+def test_each_level_of_phi_is_phi_of_the_restriction(family, fn):
+    traces = {}  # member -> trace, filled size by size
+    for n in range(1, 7):
+        for w in enumerate_family(family, n):
+            steps = traces[w] = fn(w, trace=True)[1]
+            for j in range(1, n):
+                assert traces.get(subword(w, j)) == steps[:j], (w, j)
 
 
 def grown_forest(rng, n):
@@ -303,7 +460,12 @@ def test_phi_matches_the_reference_at_large_n(inv, fn, ref):
         forest = grown_forest(rng, rng.randint(20, 160))
         validate_forest(forest)
         w = inv(forest)
-        assert fn(w, trace=True) == ref(w) and ref(w)[0] == forest, w
+        image, steps = fn(w, trace=True)
+        assert (image, steps) == ref(w) and image == forest, w
+        for j in range(1, len(w) + 1):
+            sub = subword(w, j)
+            level, level_steps = fn(sub, trace=True)
+            assert level_steps == steps[:j] and CLASSES_HOLD[fn](sub, level), (w, j)
 
 
 MALFORMED = [(), (0,), (1, 1), (2,), (1, -1), (2, 0, 1), ("a",), (1.0, -2.0), (True,)]
@@ -332,10 +494,14 @@ def test_a_forest_cut_from_a_valid_tree_is_valid():
             assert validate_forest(_tree_to_forest(t)) == n
 
 
-def test_invariant_branches_are_live(monkeypatch):
-    monkeypatch.setattr(bj, "_type1_marks", lambda word: ([], []))
-    with pytest.raises(AssertionError):
-        phi1(fx.TYPE1_EXAMPLE)
-    monkeypatch.setattr(bj, "_type2_das", lambda word: [])
-    with pytest.raises(AssertionError):
-        phi2(fx.TYPE2_EXAMPLE)
+def test_the_class_checks_see_a_moved_leaf():
+    """Moving the labelled leaf 6 into another empty slot changes two
+    node classes; the class checks must reject the result."""
+    moved1 = ((WHITE, 1, (2, EMPTY, (3, (4, (6,), (7,)), (8, EMPTY, EMPTY)))),
+              (BLACK, 5, EMPTY))
+    moved2 = ((BLACK, 1, (3, (8, EMPTY, EMPTY), (4, (5, (6,), EMPTY), EMPTY))),
+              (WHITE, 2, EMPTY), (BLACK, 7, EMPTY))
+    for fn, w, moved in [(phi1, fx.TYPE1_EXAMPLE, moved1), (phi2, fx.TYPE2_EXAMPLE, moved2)]:
+        validate_forest(moved)
+        assert CLASSES_HOLD[fn](w, fn(w))
+        assert not CLASSES_HOLD[fn](w, moved)

@@ -356,6 +356,13 @@ def test_scripts_report_a_bad_ceiling_setting_in_one_line(name, args):
     assert r.stderr == "SNAKE_ATLAS_MAX_N must be an integer, got 'x'\n"
 
 
+def test_run_checks_rejects_an_unwritable_report_path_before_any_check(tmp_path):
+    r = run_script("run_checks.py", "--n-max", "1", "--out", str(tmp_path / "missing" / "r.json"))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "argument --out: can't open" in r.stderr and "Traceback" not in r.stderr
+
+
 @pytest.mark.parametrize("n", ["0", "-2"])
 def test_print_tables_size_below_one_is_a_usage_error(n):
     r = run_script("print_tables.py", "--n", n)

@@ -2,6 +2,7 @@
 import pytest
 
 from snake_atlas import fixtures as fx
+from snake_atlas.bijections import phi1_inv, phi2_inv
 from snake_atlas.errors import LimitError, MembershipError
 from snake_atlas.forests import (BLACK, WHITE, arranged_components, emp_forest,
                                  enumerate_forests, forest_from_json,
@@ -9,6 +10,7 @@ from snake_atlas.forests import (BLACK, WHITE, arranged_components, emp_forest,
                                  forest_to_tree, labelled_leaves, last_root,
                                  tree_to_forest, validate_forest)
 from snake_atlas.polynomials import LaurentPoly
+from snake_atlas.qcalculus import weight_forest
 from snake_atlas.trees import EMPTY, emp, enumerate_trees, rmlab
 from snake_atlas.triangles import arnold_poly, hoffman_Q, hoffman_R
 
@@ -58,6 +60,24 @@ def test_validation():
         validate_forest(((WHITE, 2, EMPTY), (BLACK, 1, EMPTY)))  # order
     with pytest.raises(ValueError):
         validate_forest(((WHITE, 1, EMPTY), (WHITE, 3, EMPTY)))  # gap
+
+
+MALFORMED_FORESTS = {
+    "float-label": ((WHITE, 1, (2.0,)),),
+    "four-tuple-node": ((WHITE, 1, (2, EMPTY, EMPTY, EMPTY)),),
+    "bool-root": ((WHITE, True, EMPTY),),
+    "two-tuple-node": ((WHITE, 1, (2, EMPTY)),),
+    "str-label": ((WHITE, 1, ("x",)),),
+    "int-child": ((WHITE, 1, 5),),
+}
+
+
+@pytest.mark.parametrize("fn", [validate_forest, phi1_inv, phi2_inv, forest_to_tree,
+                                weight_forest])
+@pytest.mark.parametrize("forest", list(MALFORMED_FORESTS.values()), ids=list(MALFORMED_FORESTS))
+def test_malformed_forests_are_value_errors(fn, forest):
+    with pytest.raises(ValueError):
+        fn(forest)
 
 
 def test_ceiling():
