@@ -36,8 +36,7 @@ from .permutations import (check_window, expand_first_entry,
                            shrink_last_entry, _augmenting, _linked, _member,
                            _rl_min_positions, _simsun_levels_ok)
 from .trees import (EMPTY, _lower_rightmost_leaf, _raise_rightmost_leaf,
-                    is_starred, nodes_to_tree, rmlab, tree_nodes,
-                    validate_tree)
+                    _subtrees, is_starred, rmlab, tree_nodes, validate_tree)
 
 
 class _Builder:
@@ -56,40 +55,32 @@ class _Builder:
         b = _Builder()
         for color, root, child in forest:
             b.colors[root] = color
-            if child == EMPTY:
-                b.kids[root] = [EMPTY]
-            else:
-                c, nodes = tree_nodes(child)
-                b.kids[root] = [c]
-                b.kids.update(nodes)
+            b.kids[root] = [child if child == EMPTY else child[0]]
+            if child != EMPTY:
+                b.kids.update(tree_nodes(child)[1])
         return b
 
     def to_forest(self) -> tuple:
-        def child(root):
-            c = self.kids[root][0]
-            return EMPTY if c == EMPTY else nodes_to_tree(c, self.kids)
-
-        return tuple((self.colors[root], root, child(root)) for root in sorted(self.colors))
+        built = _subtrees(self.kids)  # a root's entry is (root, child)
+        return tuple((self.colors[root],) + built[root] for root in sorted(self.colors))
 
     def singular_slots(self):
         """Singular empty leaves left to right in the arranged layout: the
         empty slot of a node that has exactly one (a root's lone slot
         included)."""
         slots = []
-
-        def walk(v):
-            kid = self.kids[v]
-            if kid is None:
-                return
-            lone = kid.count(EMPTY) == 1
-            for i, c in enumerate(kid):
-                if c != EMPTY:
-                    walk(c)
-                elif lone:
-                    slots.append((v, i))
-
-        for root in sorted(self.colors, key=lambda r: _arranged_key(self.colors[r], r)):
-            walk(root)
+        todo = sorted(self.colors, key=lambda r: _arranged_key(self.colors[r], r),
+                      reverse=True)  # labels to walk and slots to read, last first
+        while todo:
+            v = todo.pop()
+            if type(v) is tuple:
+                slots.append(v)
+            elif self.kids[v] is not None:
+                kid = self.kids[v]
+                lone = kid.count(EMPTY) == 1
+                for i in range(len(kid) - 1, -1, -1):
+                    if kid[i] != EMPTY or lone:
+                        todo.append((v, i) if kid[i] == EMPTY else kid[i])
         return slots
 
     def node_status(self, v):

@@ -8,10 +8,10 @@ checks).  JSON is the machine default; CSV mirrors the printed table
 layouts for eyeballing.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 size ceiling exceeded (an enumeration ceiling, or an input nested
-deeper than Python's recursion limit), 4 malformed JSON input, 5 input
-outside a map's domain.  The environment variable SNAKE_ATLAS_MAX_N
-raises or lowers every enumeration ceiling.
+3 size ceiling exceeded (an enumeration ceiling, or a nested JSON input
+or output deeper than Python's recursion limit; the message says which),
+4 malformed JSON input, 5 input outside a map's domain.  The environment
+variable SNAKE_ATLAS_MAX_N raises or lowers every enumeration ceiling.
 """
 from __future__ import annotations
 
@@ -47,6 +47,11 @@ EXIT_DOMAIN = 5
 
 def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+
+
+def _too_deep(what: str) -> str:
+    return (f"size ceiling exceeded: {what} nested too deeply "
+            f"(recursion limit {sys.getrecursionlimit()})")
 
 
 def _int_at_least(lo):
@@ -165,12 +170,15 @@ def _bijection(args) -> int:
         return EXIT_BAD_JSON
     fn, parse, encode = (fwd, fin, fout) if args.direction == "forward" else (inv, iin, iout)
     value = parse(payload)
-    if args.trace:
-        result, trace = fn(value, trace=True)
-        _emit({"result": encode(result), "trace": [list(map(str, t)) if isinstance(t, tuple) else t
-                                                   for t in trace]})
-    else:
-        _emit(encode(fn(value)))
+    result, trace = fn(value, trace=True) if args.trace else (fn(value), None)
+    try:  # the nested JSON forms recurse, in ``json`` itself too
+        out = encode(result)
+        _emit(out if trace is None else
+              {"result": out, "trace": [list(map(str, t)) if isinstance(t, tuple) else t
+                                        for t in trace]})
+    except RecursionError:
+        sys.stderr.write(f"{_too_deep('output')}\n")
+        return EXIT_CEILING
     return 0
 
 
@@ -240,8 +248,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"{exc}\n")
         return EXIT_CEILING
     except RecursionError:
-        sys.stderr.write("size ceiling exceeded: input nested too deeply "
-                         f"(recursion limit {sys.getrecursionlimit()})\n")
+        sys.stderr.write(f"{_too_deep('input')}\n")
         return EXIT_CEILING
     except MembershipError as exc:
         sys.stderr.write(f"{exc}\n")

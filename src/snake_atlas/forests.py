@@ -16,7 +16,7 @@ from operator import itemgetter
 
 from .errors import MembershipError, enforce_ceiling
 from .trees import (EMPTY, _keyed_trees, _regraft, _splits, _walk_shape, emp,
-                    inorder_word, is_empty, is_leaf, label_from_json,
+                    inorder_word, is_empty, label_from_json,
                     node_from_json, rightmost_path, tree_to_json,
                     validate_tree, word_sort_key)
 
@@ -26,12 +26,15 @@ DEFAULT_FOREST_CEILING = 8
 
 
 def validate_forest(forest) -> int:
+    if not isinstance(forest, (tuple, list)):
+        raise ValueError(f"malformed forest {forest!r}")
     if not forest:
         raise ValueError("forest must have at least one component")
     labels = []
     roots = []
     for comp in forest:
-        if len(comp) != 3 or comp[0] not in (BLACK, WHITE) or type(comp[1]) is not int:
+        if (not isinstance(comp, (tuple, list)) or len(comp) != 3
+                or comp[0] not in (BLACK, WHITE) or type(comp[1]) is not int):
             raise ValueError(f"malformed component {comp!r}")
         color, root, child = comp
         roots.append(root)
@@ -50,16 +53,6 @@ def emp_forest(forest) -> int:
     for _, _, child in forest:
         total += emp(child)
     return total
-
-
-def labelled_leaves(forest) -> int:
-    def count(node):
-        if is_empty(node):
-            return 0
-        if is_leaf(node):
-            return 1
-        return count(node[1]) + count(node[2])
-    return sum(0 if is_empty(c) else count(c) for _, _, c in forest)
 
 
 def is_all_white(forest) -> bool:
@@ -126,8 +119,7 @@ def enumerate_forests(n: int, *, white_only: bool = False,
 
 def _component_key(comp) -> tuple:
     color, root, child = comp
-    return (root, color == WHITE) + word_sort_key(
-        (EMPTY,) if is_empty(child) else inorder_word(child))
+    return (root, color == WHITE) + word_sort_key(inorder_word(child))
 
 
 def forest_sort_key(forest) -> tuple:

@@ -27,7 +27,7 @@ from .errors import enforce_ceiling
 from .forests import BLACK, DEFAULT_FOREST_CEILING, validate_forest
 from .polynomials import LaurentPoly
 from .trees import (DEFAULT_TREE_CEILING, EMPTY, _keyed_trees, _splits, emp,
-                    is_empty, is_leaf, validate_tree)
+                    validate_tree)
 
 
 @dataclass(frozen=True)
@@ -211,14 +211,17 @@ def qpoly_R(n: int) -> BiPoly:
 
 def _slots(node, parent, out):
     """Append the ``(label or EMPTY, parent label)`` slots of a subtree in
-    preorder."""
-    if is_empty(node):
-        out.append((EMPTY, parent))
-        return
-    out.append((node[0], parent))
-    if not is_leaf(node):
-        _slots(node[1], node[0], out)
-        _slots(node[2], node[0], out)
+    preorder, following left children in a loop."""
+    right = []  # (right subtree, its parent's label) still to walk
+    while True:
+        out.append((node if node == EMPTY else node[0], parent))
+        if node != EMPTY and len(node) == 3:
+            right.append((node[2], node[0]))
+            node, parent = node[1], node[0]
+        elif right:
+            node, parent = right.pop()
+        else:
+            return
 
 
 def _step_weights(slots, n: int) -> list[int]:

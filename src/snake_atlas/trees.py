@@ -20,6 +20,7 @@ entries of snakes.
 """
 from __future__ import annotations
 
+from math import inf
 from operator import itemgetter
 
 from .errors import MembershipError, enforce_ceiling
@@ -42,19 +43,24 @@ def is_leaf(node) -> bool:
 
 def _walk_shape(node, lo: int, labels: list) -> None:
     """Append the labels of ``node``, hung below label ``lo``, to
-    ``labels``; every node must be a 1- or 3-tuple whose label is an
-    ``int`` (not a ``bool``) larger than its parent's."""
-    if is_empty(node):
-        return
-    if not isinstance(node, tuple) or len(node) not in (1, 3):
-        raise ValueError(f"malformed node {node!r}")
-    k = node[0]
-    if type(k) is not int or k <= lo:
-        raise ValueError(f"labels must increase from the root (saw {k} under {lo})")
-    labels.append(k)
-    if len(node) == 3:
-        _walk_shape(node[1], k, labels)
-        _walk_shape(node[2], k, labels)
+    ``labels`` in preorder; every node must be a 1- or 3-tuple whose label
+    is an ``int`` (not a ``bool``) larger than its parent's."""
+    right = []  # (right subtree, its parent's label) still to walk
+    while True:
+        if node != EMPTY:
+            if not isinstance(node, tuple) or len(node) not in (1, 3):
+                raise ValueError(f"malformed node {node!r}")
+            k = node[0]
+            if type(k) is not int or k <= lo:
+                raise ValueError(f"labels must increase from the root (saw {k} under {lo})")
+            labels.append(k)
+        if node != EMPTY and len(node) == 3:
+            right.append((node[2], k))
+            node, lo = node[1], k
+        elif right:
+            node, lo = right.pop()
+        else:
+            return
 
 
 def validate_tree(tree, n: int | None = None) -> int:
@@ -107,50 +113,52 @@ def in_left_class(tree) -> bool:
 
 
 def flip(tree):
-    """Mirror the tree horizontally."""
-    if is_empty(tree) or is_leaf(tree):
-        return tree
-    return (tree[0], flip(tree[2]), flip(tree[1]))
+    """Mirror the tree horizontally: the tree of the reversed word."""
+    return _from_word(inorder_word(tree)[::-1])
 
 
 # -- inorder-word serialization ----------------------------------------
 
 def inorder_word(tree) -> tuple:
     out = []
+    above = []  # inner nodes whose label and right subtree are still to read
+    node = tree
+    while True:
+        while node != EMPTY and len(node) == 3:
+            above.append(node)
+            node = node[1]
+        out.append(node if node == EMPTY else node[0])
+        if not above:
+            return tuple(out)
+        node = above.pop()
+        out.append(node[0])
+        node = node[2]
 
-    def walk(node):
-        if is_empty(node):
-            out.append(EMPTY)
-        elif is_leaf(node):
-            out.append(node[0])
-        else:
-            walk(node[1])
-            out.append(node[0])
-            walk(node[2])
 
-    walk(tree)
-    return tuple(out)
+def _from_word(word):
+    """The tree whose inorder word is ``word``, in one pass and without
+    checking the labels against 1..n.  A complete tree's word alternates
+    leaves (``"e"`` or a labelled leaf) and inner labels, and the inner
+    labels form a Cartesian tree: each waits on a stack with its left
+    subtree until a smaller label, or the end of the word, closes its
+    right subtree."""
+    word = tuple(word)
+    inner = word[1::2]
+    if len(word) % 2 == 0 or EMPTY in inner:
+        raise ValueError("labelled node must have zero or two children")
+    waiting = []  # (label, left subtree), labels increasing up the stack
+    for x, k in zip(word[::2], inner + (-inf,)):  # -inf: the end closes them all
+        sub = EMPTY if x == EMPTY else (x,)
+        while waiting and waiting[-1][0] > k:
+            j, left = waiting.pop()
+            sub = (j, left, sub)
+        waiting.append((k, sub))
+    return sub
 
 
 def tree_from_word(word):
     """Rebuild a tree from its inorder word (root = minimum label)."""
-    word = tuple(word)
-
-    def build(seg):
-        if len(seg) == 1 and seg[0] == EMPTY:
-            return EMPTY
-        labels = [(x, i) for i, x in enumerate(seg) if x != EMPTY]
-        if not labels:
-            raise ValueError("word segment without a label")
-        k, i = min(labels)
-        left, right = seg[:i], seg[i + 1:]
-        if not left and not right:
-            return (k,)
-        if not left or not right:
-            raise ValueError("labelled node must have zero or two children")
-        return (k, build(left), build(right))
-
-    tree = build(word)
+    tree = _from_word(word)
     validate_tree(tree)
     return tree
 
@@ -165,50 +173,47 @@ def tree_nodes(tree):
     """Return (root_label, nodes) with nodes[k] = None | [left, right],
     child slots holding EMPTY or a label."""
     nodes = {}
-
-    def walk(node):
-        if is_leaf(node):
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        if len(node) == 1:
             nodes[node[0]] = None
-            return node[0]
-        nodes[node[0]] = [walk_child(node[1]), walk_child(node[2])]
-        return node[0]
+            continue
+        k, l, r = node
+        nodes[k] = [l if l == EMPTY else l[0], r if r == EMPTY else r[0]]
+        todo += [c for c in (r, l) if c != EMPTY]
+    return tree[0], nodes
 
-    def walk_child(c):
-        return EMPTY if is_empty(c) else walk(c)
 
-    return walk(tree), nodes
+def _subtrees(nodes: dict) -> dict:
+    """Label -> ``(label, *children)`` for every entry of a node map, built
+    in decreasing label order: children carry larger labels."""
+    built = {EMPTY: EMPTY}
+    for k in sorted(nodes, reverse=True):
+        kids = nodes[k]
+        if kids is None:
+            built[k] = (k,)
+        elif len(kids) == 2:
+            built[k] = (k, built[kids[0]], built[kids[1]])
+        else:  # a forest root's one slot (``bijections._Builder``)
+            built[k] = (k, built[kids[0]])
+    return built
 
 
 def nodes_to_tree(root: int, nodes: dict):
-    def build(k):
-        kids = nodes[k]
-        if kids is None:
-            return (k,)
-        l, r = kids
-        return (k, EMPTY if l == EMPTY else build(l), EMPTY if r == EMPTY else build(r))
-
-    return build(root)
+    return _subtrees(nodes)[root]
 
 
 def _relabel(tree, mapping):
-    if is_empty(tree):
-        return tree
-    if is_leaf(tree):
-        return (mapping.get(tree[0], tree[0]),)
-    return (mapping.get(tree[0], tree[0]), _relabel(tree[1], mapping),
-            _relabel(tree[2], mapping))
-
-
-def _labels(tree) -> list[int]:
-    if is_empty(tree):
-        return []
-    if is_leaf(tree):
-        return [tree[0]]
-    return [tree[0]] + _labels(tree[1]) + _labels(tree[2])
+    """Relabel by ``mapping``; the caller keeps the tree increasing."""
+    return _from_word([mapping.get(x, x) for x in inorder_word(tree)])
 
 
 def _shift_labels(tree, from_label: int, delta: int):
-    return _relabel(tree, {k: k + delta for k in _labels(tree) if k >= from_label})
+    """Add ``delta`` to every label >= ``from_label``; a monotone shift
+    keeps the shape."""
+    return _from_word([x + delta if x != EMPTY and x >= from_label else x
+                       for x in inorder_word(tree)])
 
 
 # -- enumeration --------------------------------------------------------

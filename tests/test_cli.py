@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 from snake_atlas import cli
+from snake_atlas.bijections import phi1_inv
 from snake_atlas.cli import main
+from snake_atlas.forests import WHITE
 from snake_atlas.verify import CHECKS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -391,21 +393,50 @@ def test_python_dash_m_matches_cli_main(capsys):
 
 
 # A right comb 1 -> 2 -> ... -> 1200 along empty left leaves nests deeper
-# than the recursion limit in both input forms.
-DEEP_WORD = json.dumps([x for i in range(1, 1200) for x in ("e", i)] + [1200])
+# than the recursion limit.  It ends in the labelled leaf 1200 (star class)
+# or in 1200 over two empty leaves (circ class), as each map's domain needs.
+STAR_WORD = [x for i in range(1, 1200) for x in ("e", i)] + [1200]
+CIRC_WORD = [x for i in range(1, 1201) for x in ("e", i)] + ["e"]
 DEEP_NESTED = '{"leaf": 1200}'
 for _i in range(1199, 0, -1):
     DEEP_NESTED = f'{{"label": {_i}, "left": "empty", "right": {DEEP_NESTED}}}'
 
 
-@pytest.mark.parametrize("form", [DEEP_WORD, DEEP_NESTED], ids=["word", "nested"])
-@pytest.mark.parametrize("name, direction", [
-    ("gamma", "forward"), ("psi-cap", "forward"), ("psi-star", "inverse"),
-    ("mu", "forward"), ("phi1-b", "inverse"), ("phi2-d", "inverse"),
-])
-def test_too_deep_a_tree_is_a_size_ceiling(capsys, form, name, direction):
+@pytest.mark.parametrize("form", ["word", "nested"])
+@pytest.mark.parametrize("name, direction, word", [
+    ("gamma", "forward", STAR_WORD), ("psi-cap", "forward", STAR_WORD),
+    ("psi-star", "inverse", CIRC_WORD), ("mu", "forward", CIRC_WORD),
+    ("phi1-b", "inverse", CIRC_WORD), ("phi2-d", "inverse", STAR_WORD),
+], ids=["gamma-forward", "psi-cap-forward", "psi-star-inverse", "mu-forward",
+        "phi1-b-inverse", "phi2-d-inverse"])
+def test_too_deep_a_tree_is_a_size_ceiling(capsys, form, name, direction, word):
+    """Only the nested form is too deep.  The word form is flat: the map
+    answers it, and the other direction gives the word back."""
+    if form == "nested":
+        code, out, err = run(capsys, "bijection", "--name", name,
+                             "--direction", direction, "--input", DEEP_NESTED)
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith("size ceiling exceeded: input nested too deeply ")
+        return
     code, out, err = run(capsys, "bijection", "--name", name,
-                         "--direction", direction, "--input", form)
+                         "--direction", direction, "--input", json.dumps(word))
+    assert code == 0 and err == ""
+    back = "inverse" if direction == "forward" else "forward"
+    code, out, err = run(capsys, "bijection", "--name", name,
+                         "--direction", back, "--input", out)
+    assert code == 0 and err == "" and json.loads(out) == word
+
+
+def test_too_deep_an_output_is_named_as_the_output(capsys):
+    # phi1 of this flat window is a white chain 1 -> 2 -> ... -> 3000 down
+    # the left children, whose nested forest form is too deep for ``json``
+    child = (3000,)
+    for k in range(2999, 1, -1):
+        child = (k, child, "e")
+    window = phi1_inv(((WHITE, 1, child),))
+    code, out, err = run(capsys, "bijection", "--name", "phi1",
+                         "--input", json.dumps(list(window)))
     assert code == 3 and out == ""
-    assert len(err.splitlines()) == 1 and "Traceback" not in err
-    assert err.startswith("size ceiling exceeded: ")
+    assert err == ("size ceiling exceeded: output nested too deeply "
+                   f"(recursion limit {sys.getrecursionlimit()})\n")

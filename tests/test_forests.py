@@ -7,11 +7,11 @@ from snake_atlas.errors import LimitError, MembershipError
 from snake_atlas.forests import (BLACK, WHITE, arranged_components, emp_forest,
                                  enumerate_forests, forest_from_json,
                                  forest_sort_key, forest_to_json,
-                                 forest_to_tree, labelled_leaves, last_root,
+                                 forest_to_tree, last_root,
                                  tree_to_forest, validate_forest)
 from snake_atlas.polynomials import LaurentPoly
 from snake_atlas.qcalculus import weight_forest
-from snake_atlas.trees import EMPTY, emp, enumerate_trees, rmlab
+from snake_atlas.trees import EMPTY, emp, enumerate_trees, is_empty, is_leaf, rmlab
 from snake_atlas.triangles import arnold_poly, hoffman_Q, hoffman_R
 
 
@@ -20,6 +20,16 @@ def emp_sum(forests):
     for f in forests:
         total = total + LaurentPoly.t_power(emp_forest(f))
     return total
+
+
+def labelled_leaves(forest) -> int:
+    def count(node):
+        if is_empty(node):
+            return 0
+        if is_leaf(node):
+            return 1
+        return count(node[1]) + count(node[2])
+    return sum(0 if is_empty(c) else count(c) for _, _, c in forest)
 
 
 def test_counts():
@@ -71,12 +81,28 @@ MALFORMED_FORESTS = {
     "int-child": ((WHITE, 1, 5),),
 }
 
+# not a sequence: the forest itself, its only component, or its second one
+NON_SEQUENCE_FORESTS = {
+    "int-forest": 5,
+    "int-component": (5,),
+    "int-second-component": ((WHITE, 1, EMPTY), 7),
+}
+
 
 @pytest.mark.parametrize("fn", [validate_forest, phi1_inv, phi2_inv, forest_to_tree,
                                 weight_forest])
 @pytest.mark.parametrize("forest", list(MALFORMED_FORESTS.values()), ids=list(MALFORMED_FORESTS))
 def test_malformed_forests_are_value_errors(fn, forest):
     with pytest.raises(ValueError):
+        fn(forest)
+
+
+@pytest.mark.parametrize("fn", [validate_forest, phi1_inv, phi2_inv, forest_to_tree,
+                                weight_forest])
+@pytest.mark.parametrize("forest", list(NON_SEQUENCE_FORESTS.values()),
+                         ids=list(NON_SEQUENCE_FORESTS))
+def test_non_sequence_forests_are_value_errors(fn, forest):
+    with pytest.raises(ValueError, match="^malformed (forest|component) "):
         fn(forest)
 
 

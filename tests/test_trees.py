@@ -1,4 +1,5 @@
 """Tree objects: enumeration, statistics, grade maps, snake correspondence."""
+import itertools
 import random
 from collections import Counter
 
@@ -106,6 +107,47 @@ def test_inorder_word_round_trip(t):
     assert tree_from_word(inorder_word(t)) == t
     assert tree_from_json(tree_to_json(t)) == t
     assert tree_from_json(tree_to_word_json(t)) == t
+
+
+def ref_tree_from_word(word):
+    """Frozen reference: split each segment at its minimum label."""
+    word = tuple(word)
+
+    def build(seg):
+        if len(seg) == 1 and seg[0] == EMPTY:
+            return EMPTY
+        labels = [(x, i) for i, x in enumerate(seg) if x != EMPTY]
+        if not labels:
+            raise ValueError("word segment without a label")
+        k, i = min(labels)
+        left, right = seg[:i], seg[i + 1:]
+        if not left and not right:
+            return (k,)
+        if not left or not right:
+            raise ValueError("labelled node must have zero or two children")
+        return (k, build(left), build(right))
+
+    tree = build(word)
+    validate_tree(tree)
+    return tree
+
+
+def test_word_builder_matches_the_min_split_reference():
+    """Every word of length <= 7 over "e", 1..4 (97,656 words): the same
+    tree, or a ValueError from both."""
+    built = 0
+    for m in range(8):
+        for word in itertools.product((EMPTY, 1, 2, 3, 4), repeat=m):
+            try:
+                expected = ref_tree_from_word(word)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    tree_from_word(word)
+                continue
+            assert tree_from_word(word) == expected, word
+            built += 1
+    assert built == sum(len(inorder_word(t)) <= 7 for n in range(1, 5)
+                        for t in enumerate_trees(n))
 
 
 def test_invalid_trees_rejected():
