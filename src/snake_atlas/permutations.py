@@ -41,8 +41,15 @@ Window = tuple
 
 
 def check_window(window) -> tuple[int, ...]:
-    """Validate and normalize a signed-permutation window."""
-    w = tuple(map(int, window))
+    """Validate a signed-permutation window and return it as a tuple of
+    ints.  An entry must equal its ``int()``: 2.7 and "2" are rejected."""
+    entries = tuple(window)
+    try:
+        w = tuple(map(int, entries))
+    except TypeError:
+        raise ValueError("window entries must be integers") from None
+    if w != entries:
+        raise ValueError("window entries must be integers")
     if not w:
         raise ValueError("window must be nonempty")
     if 0 in w:

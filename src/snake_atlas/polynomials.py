@@ -9,6 +9,7 @@ polynomial is zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Iterable, Mapping
 
 
@@ -71,12 +72,6 @@ class LaurentPoly:
     def max_exp(self) -> int:
         return self.min_exp + len(self.coeffs) - 1
 
-    def coefficient(self, exp: int) -> int:
-        i = exp - self.min_exp
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return 0
-
     def terms(self) -> dict[int, int]:
         return {self.min_exp + i: c for i, c in enumerate(self.coeffs) if c != 0}
 
@@ -87,10 +82,11 @@ class LaurentPoly:
             return other
         if other.is_zero():
             return self
-        lo = min(self.min_exp, other.min_exp)
-        hi = max(self.max_exp, other.max_exp)
-        cs = [self.coefficient(e) + other.coefficient(e) for e in range(lo, hi + 1)]
-        return LaurentPoly.make(lo, cs)
+        low, high = (self, other) if self.min_exp <= other.min_exp else (other, self)
+        start, end = high.min_exp - low.min_exp, high.max_exp - low.min_exp + 1
+        cs = [*low.coeffs, *[0] * (end - len(low.coeffs))]
+        cs[start:end] = map(add, cs[start:end], high.coeffs)
+        return LaurentPoly.make(low.min_exp, cs)
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly(self.min_exp, tuple(-c for c in self.coeffs)) if self.coeffs else self

@@ -12,10 +12,11 @@ The three operator-defined families
     Q_n = (D + UDU)^n  1
     R_n = (D + DUU)^n  1
 
-specialize at q=1 to the derivative polynomials of tan, sec and sec^2,
-and are matched combinatorially by q-weights: a tree or forest is
-peeled label by label, each label contributing the number of empty
-leaves read before it (black roots add one more).
+specialize at q=1 to the derivative polynomials of tan, sec and sec^2.
+Each step of all three sends t^k to [k]_q t^(k-1) + [k+a]_q t^(k+1)
+(a = 0, 1, 2), computed on lists of q-coefficients.  They are matched by
+q-weights: a tree or forest is peeled label by label, each label adding
+the empty leaves read before it (black roots add one more).
 """
 from __future__ import annotations
 
@@ -184,27 +185,43 @@ class Operator:
         return f
 
 
-P_OPERATOR = Operator(("D", "UUD"))
-Q_OPERATOR = Operator(("D", "UDU"))
-R_OPERATOR = Operator(("D", "DUU"))
+def _add_times_q_integer(out: list[int], c: list[int], m: int) -> list[int]:
+    """Add c * [m]_q into the q-coefficients ``out`` and return it: entry i
+    gains the window sum c[i-m+1..i], kept as a running sum."""
+    if c and m > 0:
+        out.extend([0] * (len(c) + m - 1 - len(out)))
+        window = 0
+        for i in range(len(c) + m - 1):
+            window += (c[i] if i < len(c) else 0) - (c[i - m] if i >= m else 0)
+            out[i] += window
+    return out
+
+
+def _q_family(n: int, a: int, start: list[list[int]]) -> BiPoly:
+    """Apply t^k -> [k]_q t^(k-1) + [k+a]_q t^(k+1) to ``start`` (the
+    q-coefficients of t^0, t^1, ...) n times: the operator D + UUD for
+    a = 0, D + UDU for a = 1 and D + DUU for a = 2."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    f = start
+    for _ in range(n):
+        padded = [[], *f, [], []]  # padded[k + 1] holds the t^k coefficient
+        f = [_add_times_q_integer(_add_times_q_integer([], padded[k + 2], k + 1),
+                                  padded[k], k - 1 + a)
+             for k in range(len(f) + 1)]
+    return BiPoly.make(map(QPoly.make, f))
 
 
 def qpoly_P(n: int) -> BiPoly:
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return P_OPERATOR.iterate(n, BiPoly.t_power(1))
+    return _q_family(n, 0, [[], [1]])
 
 
 def qpoly_Q(n: int) -> BiPoly:
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return Q_OPERATOR.iterate(n, BiPoly.one())
+    return _q_family(n, 1, [[1]])
 
 
 def qpoly_R(n: int) -> BiPoly:
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return R_OPERATOR.iterate(n, BiPoly.one())
+    return _q_family(n, 2, [[1]])
 
 
 # -- combinatorial weights ------------------------------------------------

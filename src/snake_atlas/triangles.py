@@ -7,16 +7,16 @@ Four recurrence-defined arrays live here:
 * the polynomial refinement of the double triangle, and
 * the variant that restricts to trees with an empty leftmost leaf.
 
-The derivative polynomials P_n, Q_n, R_n of tan, sec and sec^2 are
-computed by iterating (1+t^2) d/dt, and the triangle row sums are
-checked against them symbolically.
+The derivative polynomials P_n, Q_n, R_n of tan, sec and sec^2 iterate
+f -> (1+t^2) f' + a t f (a = 0, 1, 2; P_0 = t, Q_0 = R_0 = 1) on a plain
+coefficient list, and the triangle row sums are checked against them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Generic, TypeVar
 
-from .polynomials import ONE_PLUS_T2, LaurentPoly
+from .polynomials import LaurentPoly
 
 V = TypeVar("V")
 
@@ -155,14 +155,21 @@ def gamma_arrays(n: int) -> DoubleTriangle:
     return DoubleTriangle(n, out)
 
 
+def _derivative_poly(n: int, a: int, start: list[int]) -> LaurentPoly:
+    """n steps t^k -> k t^(k-1) + (k+a) t^(k+1) on coefficients of t^0, t^1, ..."""
+    f = start
+    for _ in range(n):
+        padded = [0, *f, 0, 0]  # padded[k + 1] is the coefficient of t^k
+        f = [(k + 1) * padded[k + 2] + (k - 1 + a) * padded[k]
+             for k in range(len(f) + 1)]
+    return LaurentPoly.make(0, f)
+
+
 def hoffman_P(n: int) -> LaurentPoly:
     """n-th derivative polynomial of tan: P_0 = t, then (1+t^2) d/dt."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    p = LaurentPoly.t_power(1)
-    for _ in range(n):
-        p = ONE_PLUS_T2 * p.derivative()
-    return p
+    return _derivative_poly(n, 0, [0, 1])
 
 
 def hoffman_Q(n: int) -> LaurentPoly:
@@ -185,11 +192,7 @@ def hoffman_secant_power(n: int, a: int) -> LaurentPoly:
         raise ValueError("n must be >= 0")
     if a < 1:
         raise ValueError("a must be >= 1")
-    r = LaurentPoly.one()
-    at = LaurentPoly.from_terms({1: a})
-    for _ in range(n):
-        r = ONE_PLUS_T2 * r.derivative() + at * r
-    return r
+    return _derivative_poly(n, a, [1])
 
 
 def hoffman_triangle_identity(n: int) -> bool:

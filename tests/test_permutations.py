@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from snake_atlas import fixtures as fx
-from snake_atlas.bijections import phi1, phi2, zeta1, zeta1_inv
+from snake_atlas.bijections import phi1, phi2, zeta1, zeta1_inv, zeta2_inv
 from snake_atlas.errors import LimitError, MembershipError, SettingError
 from snake_atlas.forests import enumerate_forests
 from snake_atlas.permutations import (FAMILY_TAGS, _andre_levels_ok,
@@ -32,6 +32,16 @@ def test_check_window_rejects_bad_input():
     for bad in [(), (0,), (1, 1), (2,), (1, -1)]:
         with pytest.raises(ValueError):
             check_window(bad)
+
+
+@pytest.mark.parametrize("call", [check_window, lambda w: is_member(w, "rsi"),
+                                  phi1, zeta2_inv],
+                         ids=["check_window", "is_member", "phi1", "zeta2_inv"])
+@pytest.mark.parametrize("window", [[2.7, 1.2], [1.5], ["2", "-1"], ((1,),)],
+                         ids=["floats", "float-to-one", "strings", "tree"])
+def test_non_integer_window_entries_are_rejected(call, window):
+    with pytest.raises(ValueError, match="window entries must be integers"):
+        call(window)
 
 
 def test_snake_predicates():

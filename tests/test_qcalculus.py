@@ -81,6 +81,23 @@ def test_specializations_at_q1(n):
     assert qpoly_R(n).at_q1() == hoffman_R(n)
 
 
+@pytest.mark.parametrize("fn, word, start", [(qpoly_P, "UUD", BiPoly.t_power(1)),
+                                             (qpoly_Q, "UDU", BiPoly.one()),
+                                             (qpoly_R, "DUU", BiPoly.one())],
+                         ids=["P", "Q", "R"])
+def test_q_families_match_their_operator_words(fn, word, start):
+    op = Operator(("D", word))
+    for n in range(13):
+        assert fn(n) == op.iterate(n, start), n
+
+
+@pytest.mark.parametrize("fn, plain", [(qpoly_P, hoffman_P), (qpoly_Q, hoffman_Q),
+                                       (qpoly_R, hoffman_R)], ids=["P", "Q", "R"])
+def test_q_families_specialize_to_the_derivative_polynomials(fn, plain):
+    for n in range(21):
+        assert fn(n).at_q1() == plain(n), n
+
+
 def test_weights_of_smallest_objects():
     assert weight_tree((1,)) == 0
     assert weight_tree((1, "e", "e")) == 0

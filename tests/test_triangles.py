@@ -7,7 +7,8 @@ from snake_atlas import fixtures as fx
 from snake_atlas.polynomials import ONE_PLUS_T2, LaurentPoly
 from snake_atlas.triangles import (arnold, arnold_poly, entringer,
                                    gamma_arrays, hoffman_P, hoffman_Q,
-                                   hoffman_R, hoffman_triangle_identity)
+                                   hoffman_R, hoffman_secant_power,
+                                   hoffman_triangle_identity)
 
 
 def P(terms):
@@ -188,3 +189,30 @@ def test_triangle_json_shapes():
     assert [r["k"] for r in obj["rows"]] == [-3, -2, -1, 1, 2, 3]
     vp = arnold_poly(2).to_json()
     assert vp["rows"][-1]["value"] == {"min_exp": 1, "coeffs": [1, 0, 1]}
+
+
+# -- the coefficient recurrence against (1+t^2) d/dt ----------------------
+# The reference is a frozen object loop: one step is (1+t^2) f' + a t f
+# in LaurentPoly arithmetic.
+
+def ref_derivative_step(f, a):
+    return ONE_PLUS_T2 * f.derivative() + LaurentPoly.from_terms({1: a}) * f
+
+
+@pytest.mark.parametrize("fn, a, start", [(hoffman_P, 0, LaurentPoly.t_power(1)),
+                                          (hoffman_Q, 1, LaurentPoly.one()),
+                                          (hoffman_R, 2, LaurentPoly.one())],
+                         ids=["P", "Q", "R"])
+def test_hoffman_polynomials_match_the_derivative_loop(fn, a, start):
+    f = start
+    for n in range(61):
+        assert fn(n) == f, n
+        f = ref_derivative_step(f, a)
+
+
+@pytest.mark.parametrize("a", range(1, 6))
+def test_secant_powers_match_the_derivative_loop(a):
+    f = LaurentPoly.one()
+    for n in range(61):
+        assert hoffman_secant_power(n, a) == f, n
+        f = ref_derivative_step(f, a)
