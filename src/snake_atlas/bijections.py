@@ -16,7 +16,12 @@ restriction and performs the matching forest surgery.
 Both are inverted by first assigning each labelled node a sign (white
 roots, two-empty-leaf nodes and left-heavy nodes are positive; black
 roots, labelled leaves and right-heavy nodes are negative), then
-peeling labels n..2 and replaying the insertions.
+replaying the labels 1..n in order, each inserted into a linked word.
+
+``phi2`` and its inverse keep the singular empty leaves on a frontier
+(``_Leaves``): the forest's leaves in arranged order, a linked list over
+int arrays that each step edits where it changes the forest, so a rank
+costs a walk of that list, not a walk of the whole forest.
 
 ``zeta1``/``zeta2`` shift signed Andre permutations of size n+1 down to
 signed Simsun permutations of size n by sliding entries along the
@@ -29,84 +34,84 @@ tree afterwards.
 from __future__ import annotations
 
 from .errors import MembershipError
-from .forests import (BLACK, WHITE, _arranged_key, _forest_to_tree,
-                      _tree_to_forest, validate_forest)
+from .forests import (BLACK, WHITE, _forest_to_tree, _tree_to_forest,
+                      validate_forest)
 from .permutations import (check_window, expand_first_entry,
                            expand_last_entry, shrink_first_entry,
-                           shrink_last_entry, _augmenting, _linked, _member,
+                           shrink_last_entry, _augmenting, _bad_levels,
+                           _cond_b_type1, _cond_b_type2, _linked, _member,
                            _rl_min_positions, _simsun_levels_ok)
 from .trees import (EMPTY, _lower_rightmost_leaf, _raise_rightmost_leaf,
                     _subtrees, is_starred, rmlab, tree_nodes, validate_tree)
 
 
-class _Builder:
-    """Mutable forest under construction, keyed by node label: a root
-    holds its one child slot (``[EMPTY]`` or ``[label]``), an inner node
-    its two (``[l, r]``), a labelled leaf ``None``.  A slot is ``(v, i)``,
-    the i-th child slot of v.  The non-root entries are the
-    ``trees.tree_nodes`` node map."""
-
-    def __init__(self):
-        self.colors = {}  # root label -> BLACK | WHITE
-        self.kids = {}    # label -> [c] | [l, r] | None
-
-    @staticmethod
-    def from_forest(forest) -> "_Builder":
-        b = _Builder()
-        for color, root, child in forest:
-            b.colors[root] = color
-            b.kids[root] = [child if child == EMPTY else child[0]]
-            if child != EMPTY:
-                b.kids.update(tree_nodes(child)[1])
-        return b
-
-    def to_forest(self) -> tuple:
-        built = _subtrees(self.kids)  # a root's entry is (root, child)
-        return tuple((self.colors[root],) + built[root] for root in sorted(self.colors))
-
-    def singular_slots(self):
-        """Singular empty leaves left to right in the arranged layout: the
-        empty slot of a node that has exactly one (a root's lone slot
-        included)."""
-        slots = []
-        todo = sorted(self.colors, key=lambda r: _arranged_key(self.colors[r], r),
-                      reverse=True)  # labels to walk and slots to read, last first
-        while todo:
-            v = todo.pop()
-            if type(v) is tuple:
-                slots.append(v)
-            elif self.kids[v] is not None:
-                kid = self.kids[v]
-                lone = kid.count(EMPTY) == 1
-                for i in range(len(kid) - 1, -1, -1):
-                    if kid[i] != EMPTY or lone:
-                        todo.append((v, i) if kid[i] == EMPTY else kid[i])
-        return slots
-
-    def node_status(self, v):
-        """'terminal' | 'intermediate' | 'plain' for the current shape."""
-        kid = self.kids[v]
-        if kid is None or kid == [EMPTY, EMPTY]:
-            return "terminal"
-        return "intermediate" if EMPTY in kid else "plain"
+def _forest(colors: dict, kids: dict) -> tuple:
+    """The forest of a node map keyed by label: a root holds its one child
+    slot (``[EMPTY]`` or ``[label]``), an inner node its two (``[l, r]``),
+    a labelled leaf ``None``; ``colors`` holds the roots' colors.  The
+    non-root entries are the ``trees.tree_nodes`` node map."""
+    built = _subtrees(kids)  # a root's entry is (root, child)
+    return tuple((colors[root],) + built[root] for root in sorted(colors))
 
 
-def _b1_signs(b: _Builder, n: int) -> dict:
-    """Sign each labelled node; empty slots count as larger than any label."""
-    signs = {}
-    big = n + 1
-    for v, kid in b.kids.items():
-        if v in b.colors:
-            signs[v] = 1 if b.colors[v] == WHITE else -1
-        elif kid is None:
-            signs[v] = -1
-        elif kid == [EMPTY, EMPTY]:
-            signs[v] = 1
-        else:
-            l = big if kid[0] == EMPTY else kid[0]
-            r = big if kid[1] == EMPTY else kid[1]
-            signs[v] = 1 if l > r else -1
-    return signs
+def _link(prv: list, nxt: list, a: int, s: int) -> None:
+    """Put item s right after item a in the linked list (prv, nxt)."""
+    c = nxt[a]
+    prv[s], nxt[s] = a, c
+    nxt[a] = prv[c] = s
+
+
+class _Leaves:
+    """The frontier of phi2: the leaves of a forest under construction in
+    arranged order (``forests._arranged_key``), as a doubly linked list
+    over flat int arrays from a head 0 to a tail 1.  Item ``2v + i`` is
+    the slot (v, i); a labelled leaf v, which has no slots, is ``2v``.
+    ``lone[s]`` marks a singular empty leaf, its node's only empty slot."""
+
+    def __init__(self, n: int):
+        self.prv = [0] * (2 * n + 2)
+        self.nxt = [1] * (2 * n + 2)
+        self.lone = bytearray(2 * n + 2)
+
+    def root(self, j: int, white: bool) -> None:
+        """A new root j: a black one goes first, a white one last."""
+        _link(self.prv, self.nxt, self.prv[1] if white else 0, 2 * j)
+        self.lone[2 * j] = 1
+
+    def open(self, s: int, leaf: bool) -> None:
+        """Slot s of a terminal node is to be filled: its other slot, grown
+        first when the node is a labelled leaf, becomes singular."""
+        if leaf:
+            _link(self.prv, self.nxt, s, s + 1)
+        self.lone[s ^ 1] = 1
+
+    def put(self, s: int, j: int, two: bool) -> None:
+        """j fills slot s: its items 2j (and 2j + 1) take s's place."""
+        prv, nxt = self.prv, self.nxt
+        a, c, t = prv[s], nxt[s], 2 * j
+        nxt[a], prv[t] = t, a
+        if two:
+            nxt[t], prv[t + 1] = t + 1, t
+            t += 1
+        nxt[t], prv[c] = c, t
+
+    def rank(self, s: int) -> int:
+        """The number of singular leaves before item s."""
+        lone, nxt = self.lone, self.nxt
+        r, q = 0, nxt[0]
+        while q != s:
+            r += lone[q]
+            q = nxt[q]
+        return r
+
+    def singular(self, rank: int) -> int:
+        """The singular leaf of this rank, or the tail 1 past the last."""
+        lone, nxt = self.lone, self.nxt
+        q = nxt[0]
+        while q != 1 and (rank or not lone[q]):
+            rank -= lone[q]
+            q = nxt[q]
+        return q
 
 
 # -- word marks ----------------------------------------------------------
@@ -144,42 +149,99 @@ def _unlinked_chain(w):
     return prv, nxt, at
 
 
+def _member_chain(w, family: str, name: str):
+    """``_unlinked_chain(w)`` of a member of ``family`` (rsi or rsii, or
+    its -b refinement), else ``name``'s MembershipError.  The membership
+    scan (``permutations._bad_levels``) unlinks n, ..., 2 from the list
+    it reads, which leaves only the entry 1 to unlink."""
+    n = len(w)
+    chain = prv, nxt, _ = _linked(w)
+    signed = family.startswith("rsii")
+    k = min(_bad_levels(w, signed, False, chain), default=None)
+    if family.endswith("-b"):
+        if k is not None or not (_cond_b_type2 if signed else _cond_b_type1)(w):
+            raise MembershipError(f"{name}: input not in {family}")
+    elif k is not None:
+        raise MembershipError(f"{name}: input not in {family}", step=k)
+    nxt[0], prv[n + 1] = n + 1, 0
+    return chain
+
+
+def _hooks(forest):
+    """(colors, n, signs, hooks) for the inverses, which replay a forest's
+    labels in increasing order.  A node is positive when it is a white
+    root or its left slot holds the larger label (an empty slot counts as
+    larger than any), so a labelled leaf is negative.  ``hooks[j]`` is
+    None for a root, else (v, i, terminal) for j in the slot (v, i):
+    terminal when v, no root, has no smaller child, and so is still a
+    labelled leaf or two empty leaves, by its sign, as j arrives."""
+    colors, kids = {}, {}
+    for color, root, child in forest:
+        colors[root] = color
+        kids[root] = [child if child == EMPTY else child[0]]
+        if child != EMPTY:
+            kids.update(tree_nodes(child)[1])
+    n = len(kids)
+    signs, hooks = {}, [None] * (n + 1)
+    for v, kid in kids.items():
+        if kid is None:
+            signs[v] = -1
+            continue
+        key = [n + 1 if c == EMPTY else c for c in kid]
+        if v in colors:
+            signs[v] = 1 if colors[v] == WHITE else -1
+        else:
+            signs[v] = 1 if key[0] >= key[1] else -1
+        for i, c in enumerate(kid):
+            if c != EMPTY:
+                hooks[c] = (v, i, len(kid) == 2 and key[i - 1] > c)
+    return colors, n, signs, hooks
+
+
+def _word(nxt: list, signs: dict, n: int) -> tuple:
+    """The signed word held in a linked list over the labels 1..n."""
+    out, q = [], nxt[0]
+    while q <= n:
+        out.append(signs[q] * q)
+        q = nxt[q]
+    return tuple(out)
+
+
 # -- phi1: type-I Simsun -> forests --------------------------------------
 
 def phi1(window, trace: bool = False):
     w = check_window(window)
-    _require_family(w, "rsi", "phi1")
-    return _phi1(w, trace)
+    return _phi1(w, _member_chain(w, "rsi", "phi1"), trace)
 
 
-def _phi1(w, trace: bool = False):
-    """``phi1`` of an rsi member: step j reads the neighbours a, c of j in
-    the level-j restriction and the marks of a, c one level down, where
-    they are adjacent (peaks and double ascents of the absolute word,
-    read off the linked list)."""
+def _phi1(w, chain, trace: bool = False):
+    """``phi1`` of an rsi member with its ``_unlinked_chain``: step j
+    reads the neighbours a, c of j in the level-j restriction and the
+    marks of a, c one level down, where they are adjacent (peaks and
+    double ascents of the absolute word, read off the linked list)."""
     n = len(w)
-    prv, nxt, at = _unlinked_chain(w)
+    prv, nxt, at = chain
     key = [0] + [abs(x) for x in w] + [n + 1]
-    b = _Builder()
+    colors, kids = {}, {}
     steps = []
     for j in range(1, n + 1):
         p = at[j]
         a, c = prv[p], nxt[p]
         x = w[p - 1]
         if c > n:
-            b.colors[j] = WHITE if x > 0 else BLACK
-            b.kids[j] = [EMPTY]
+            colors[j] = WHITE if x > 0 else BLACK
+            kids[j] = [EMPTY]
             steps.append(("i", "new-root", j))
         elif key[a] < key[c]:
             y = w[c - 1]
             if not key[a] < key[c] < key[nxt[c]]:
                 raise MembershipError(f"phi1: {y} is not a double-ascent element", step=j)
             v = abs(y)
-            kid = b.kids[v]
+            kid = kids[v]
             if kid is None or kid.count(EMPTY) != 1:
                 raise MembershipError(f"node {v} is not intermediate")
             kid[kid.index(EMPTY)] = j
-            b.kids[j] = [EMPTY, EMPTY] if x > 0 else None
+            kids[j] = [EMPTY, EMPTY] if x > 0 else None
             steps.append(("ii", "fill-intermediate", v))
         else:
             y = w[a - 1]
@@ -187,17 +249,17 @@ def _phi1(w, trace: bool = False):
                 raise MembershipError(f"phi1: {y} is not a peak", step=j)
             v = abs(y)
             if y > 0:
-                if b.kids.get(v) != [EMPTY, EMPTY]:
+                if kids.get(v) != [EMPTY, EMPTY]:
                     raise MembershipError(f"phi1: node {v} should have two empty leaves", step=j)
-                b.kids[v][1] = j
+                kids[v][1] = j
             else:
-                if b.kids.get(v, 0) is not None:
+                if kids.get(v, 0) is not None:
                     raise MembershipError(f"phi1: node {v} should be a labelled leaf", step=j)
-                b.kids[v] = [j, EMPTY]
-            b.kids[j] = [EMPTY, EMPTY] if x > 0 else None
+                kids[v] = [j, EMPTY]
+            kids[j] = [EMPTY, EMPTY] if x > 0 else None
             steps.append(("iii", "attach-at-peak", y))
         nxt[a] = prv[c] = p
-    forest = b.to_forest()
+    forest = _forest(colors, kids)
     return (forest, steps) if trace else forest
 
 
@@ -207,130 +269,92 @@ def phi1_inv(forest, trace: bool = False):
 
 
 def _phi1_inv(forest, trace: bool = False):
-    """``phi1_inv`` of a forest that ``validate_forest`` accepted."""
-    b = _Builder.from_forest(forest)
-    n = len(b.kids)
-    signs = _b1_signs(b, n)
-    records = _peel(b, signs, n, _type1_record)
-    word = [signs[1] * 1]
-    steps = [("root", 1)]
-    for j in range(2, n + 1):
-        rec = records[j]
-        if rec[0] == "root":
-            word.append(signs[j] * j)
+    """``phi1_inv`` of a forest that ``validate_forest`` accepted: a root
+    goes last in the word, j goes right of a terminal parent and left of
+    an intermediate one."""
+    _, n, signs, hooks = _hooks(forest)
+    prv, nxt = [0] * (n + 2), [n + 1] * (n + 2)  # the word, between 0 and n + 1
+    steps = []
+    for j in range(1, n + 1):
+        if hooks[j] is None:
+            _link(prv, nxt, prv[n + 1], j)
             steps.append(("root", j))
         else:
-            _, v, status = rec
-            pos = word.index(signs[v] * v)
-            if status == "intermediate":
-                word.insert(pos, signs[j] * j)
-                steps.append(("left-of", v))
-            else:
-                word.insert(pos + 1, signs[j] * j)
-                steps.append(("right-of", v))
-    out = tuple(word)
+            v, _, terminal = hooks[j]
+            _link(prv, nxt, v if terminal else prv[v], j)
+            steps.append(("right-of" if terminal else "left-of", v))
+    out = _word(nxt, signs, n)
     return (out, steps) if trace else out
-
-
-def _peel(b: _Builder, signs: dict, n: int, record) -> dict:
-    """Remove labels n..2, keeping for each how to replay it: ("root",)
-    for a root, else ``record(b, j, slot)`` once j is unhooked from the
-    vacated ``slot``.  Parents are read once, before the first label
-    goes: peeling from the top never moves a node that is left."""
-    parent = {c: (v, i) for v, kid in b.kids.items() if kid
-              for i, c in enumerate(kid) if c != EMPTY}
-    records = {}
-    for j in range(n, 1, -1):
-        del b.kids[j]
-        if j in b.colors:
-            del b.colors[j]
-            records[j] = ("root",)
-            continue
-        slot = parent.get(j)
-        if slot is None:
-            raise MembershipError(f"node {j} is unreachable")
-        v, i = slot
-        kid = b.kids[v]
-        kid[i] = EMPTY
-        if signs[v] == -1 and kid == [EMPTY, EMPTY]:
-            b.kids[v] = None
-        records[j] = record(b, j, slot)
-    if list(b.colors) != [1] or b.kids[1] != [EMPTY]:
-        raise MembershipError("peeling did not terminate at a single root 1")
-    return records
-
-
-def _type1_record(b: _Builder, j: int, slot) -> tuple:
-    v = slot[0]
-    status = b.node_status(v)
-    if status == "plain":
-        raise MembershipError(f"parent {v} of {j} has no empty slot after peeling")
-    return ("child", v, status)
 
 
 # -- phi2: type-II Simsun -> forests -------------------------------------
 
 def phi2(window, trace: bool = False):
     w = check_window(window)
-    _require_family(w, "rsii", "phi2")
-    return _phi2(w, trace)
+    return _phi2(w, _member_chain(w, "rsii", "phi2"), trace)
 
 
-def _phi2(w, trace: bool = False):
-    """``phi2`` of an rsii member, read off the linked list as in ``_phi1``
-    but by signed value; a type-ii step ranks its target among the double
-    ascents of the level-(j-1) restriction by walking that list."""
+def _phi2(w, chain, trace: bool = False):
+    """``phi2`` of an rsii member, read off its ``_unlinked_chain`` as in
+    ``_phi1`` but by signed value; a type-ii step ranks its target among
+    the double ascents of the level-(j-1) restriction by walking that
+    list, and finds the singular leaf of that rank on the frontier."""
     n = len(w)
-    prv, nxt, at = _unlinked_chain(w)
+    prv, nxt, at = chain
     val = [-n - 1] + list(w) + [n + 1]
 
     def double_ascent(q):
         return val[prv[q]] < val[q] < val[nxt[q]]
 
-    b = _Builder()
+    colors, kids = {}, {}
+    leaves = _Leaves(n)
     steps = []
     for j in range(1, n + 1):
         p = at[j]
         a, c = prv[p], nxt[p]
         x, y, z = val[p], val[a], val[c]
         if (c > n and x > 0) or (a == 0 and x < 0):
-            b.colors[j] = WHITE if x > 0 else BLACK
-            b.kids[j] = [EMPTY]
+            colors[j] = WHITE if x > 0 else BLACK
+            kids[j] = [EMPTY]
+            leaves.root(j, x > 0)
             steps.append(("i", "new-root", j))
-        elif y < z:
-            t = a if x < 0 else c
-            if not double_ascent(t):
-                raise MembershipError(f"phi2: {val[t]} is not a double-ascent element", step=j)
-            rank, q = 0, nxt[0]
-            while q != t:
-                rank += double_ascent(q)
-                q = nxt[q]
-            slots = b.singular_slots()
-            if rank >= len(slots):
-                raise MembershipError("phi2: singular leaf rank out of range", step=j)
-            v, i = slots[rank]
-            b.kids[v][i] = j
-            b.kids[j] = [EMPTY, EMPTY] if x > 0 else None
-            steps.append(("ii", "fill-singular", rank + 1))
         else:
-            if abs(y) < abs(z):
+            if y < z:
+                t = a if x < 0 else c
+                if not double_ascent(t):
+                    raise MembershipError(f"phi2: {val[t]} is not a double-ascent element", step=j)
+                rank, q = 0, nxt[0]
+                while q != t:
+                    rank += double_ascent(q)
+                    q = nxt[q]
+                s = leaves.singular(rank)
+                if s == 1:
+                    raise MembershipError("phi2: singular leaf rank out of range", step=j)
+                kids[s >> 1][s & 1] = j
+                steps.append(("ii", "fill-singular", rank + 1))
+            elif abs(y) < abs(z):
                 if not z < 0:
                     raise MembershipError("phi2: heavy bottom must be negative", step=j)
                 v = abs(z)
-                if b.kids.get(v, 0) is not None:
+                if kids.get(v, 0) is not None:
                     raise MembershipError(f"phi2: node {v} should be a labelled leaf", step=j)
-                b.kids[v] = [j, EMPTY]
+                kids[v] = [j, EMPTY]
+                s = 2 * v
+                leaves.open(s, True)
                 steps.append(("iii", "under-heavy-bottom", z))
             else:
                 if not y > 0:
                     raise MembershipError("phi2: heavy top must be positive", step=j)
-                if b.kids.get(y) != [EMPTY, EMPTY]:
+                if kids.get(y) != [EMPTY, EMPTY]:
                     raise MembershipError(f"phi2: node {y} should have two empty leaves", step=j)
-                b.kids[y][1] = j
+                kids[y][1] = j
+                s = 2 * y + 1
+                leaves.open(s, False)
                 steps.append(("iii", "under-heavy-top", y))
-            b.kids[j] = [EMPTY, EMPTY] if x > 0 else None
+            kids[j] = [EMPTY, EMPTY] if x > 0 else None
+            leaves.put(s, j, x > 0)
         nxt[a] = prv[c] = p
-    forest = b.to_forest()
+    forest = _forest(colors, kids)
     return (forest, steps) if trace else forest
 
 
@@ -340,53 +364,41 @@ def phi2_inv(forest, trace: bool = False):
 
 
 def _phi2_inv(forest, trace: bool = False):
-    """``phi2_inv`` of a forest that ``validate_forest`` accepted."""
-    b = _Builder.from_forest(forest)
-    n = len(b.kids)
-    signs = _b1_signs(b, n)
-    root_colors = dict(b.colors)
-    records = _peel(b, signs, n, _type2_record)
-    word = [signs[1] * 1]
-    steps = [("root", 1)]
-    for j in range(2, n + 1):
-        rec = records[j]
-        if rec[0] == "root":
-            if root_colors[j] == WHITE:
-                word.append(j)
-            else:
-                word.insert(0, -j)
+    """``phi2_inv`` of a forest that ``validate_forest`` accepted: the
+    labels replay ``_phi2``'s frontier edits, a white (black) root goes
+    last (first) in the word, j goes next to a terminal parent, and a
+    singular leaf's rank picks the double ascent j goes next to."""
+    colors, n, signs, hooks = _hooks(forest)
+    leaves = _Leaves(n)
+    val = [-n - 1] + [signs[k] * k for k in range(1, n + 1)] + [n + 1]
+    prv, nxt = [0] * (n + 2), [n + 1] * (n + 2)  # the word, between 0 and n + 1
+    steps = []
+    for j in range(1, n + 1):
+        if hooks[j] is None:
+            white = colors[j] == WHITE
+            leaves.root(j, white)
+            _link(prv, nxt, prv[n + 1] if white else 0, j)
             steps.append(("root", j))
-        elif rec[0] == "singular":
-            rank = rec[1]
-            das = _type2_das(word)
-            if rank >= len(das):
-                raise MembershipError("phi2_inv: double-ascent rank out of range", step=j)
-            pos = word.index(das[rank])
-            if signs[j] > 0:
-                word.insert(pos, j)
-            else:
-                word.insert(pos + 1, -j)
-            steps.append(("at-singular", rank + 1))
-        else:
-            _, v = rec
-            pos = word.index(signs[v] * v)
-            if signs[v] > 0:
-                word.insert(pos + 1, signs[j] * j)
-            else:
-                word.insert(pos, signs[j] * j)
+            continue
+        v, i, terminal = hooks[j]
+        s = 2 * v + i
+        if terminal:
+            _link(prv, nxt, v if signs[v] > 0 else prv[v], j)
+            leaves.open(s, signs[v] < 0)
             steps.append(("at-terminal", v))
-    out = tuple(word)
+        else:
+            rank = r = leaves.rank(s)
+            q = nxt[0]
+            while q <= n and (r or not val[prv[q]] < val[q] < val[nxt[q]]):
+                r -= val[prv[q]] < val[q] < val[nxt[q]]
+                q = nxt[q]
+            if q > n:
+                raise MembershipError("phi2_inv: double-ascent rank out of range", step=j)
+            _link(prv, nxt, prv[q] if signs[j] > 0 else q, j)
+            steps.append(("at-singular", rank + 1))
+        leaves.put(s, j, signs[j] > 0)
+    out = _word(nxt, signs, n)
     return (out, steps) if trace else out
-
-
-def _type2_record(b: _Builder, j: int, slot) -> tuple:
-    v = slot[0]
-    if b.node_status(v) == "terminal":
-        return ("terminal", v)
-    slots = b.singular_slots()
-    if slot not in slots:
-        raise MembershipError(f"vacated slot of {j} is not singular", step=j)
-    return ("singular", slots.index(slot))
 
 
 # -- tree-valued variants -------------------------------------------------
@@ -396,9 +408,7 @@ def _type2_record(b: _Builder, j: int, slot) -> tuple:
 
 def phi1_b(window):
     w = check_window(window)
-    if not _member(w, "rsi-b"):
-        raise MembershipError("phi1_b: input not in rsi-b")
-    return _forest_to_tree(_phi1(w))
+    return _forest_to_tree(_phi1(w, _member_chain(w, "rsi-b", "phi1_b")))
 
 
 def phi1_b_inv(tree):
@@ -418,7 +428,8 @@ def phi1_d(window):
     if not _member(w, "rsi-d") or len(w) < 2:
         raise MembershipError("phi1_d: input not in rsi-d (size >= 2)")
     k = abs(w[-1])
-    tree = _forest_to_tree(_phi1(shrink_last_entry(w)))
+    shrunk = shrink_last_entry(w)
+    tree = _forest_to_tree(_phi1(shrunk, _unlinked_chain(shrunk)))
     return _raise_rightmost_leaf(tree, k)
 
 
@@ -434,9 +445,7 @@ def phi1_d_inv(tree):
 
 def phi2_b(window):
     w = check_window(window)
-    if not _member(w, "rsii-b"):
-        raise MembershipError("phi2_b: input not in rsii-b")
-    return _forest_to_tree(_phi2(w))
+    return _forest_to_tree(_phi2(w, _member_chain(w, "rsii-b", "phi2_b")))
 
 
 def phi2_b_inv(tree):
@@ -460,7 +469,7 @@ def phi2_d(window):
     aug = _augmenting(shrunk)
     if not aug or aug[-1] >= k:
         raise MembershipError("phi2_d: shrunk window lacks a smaller augmenting anchor")
-    tree = _forest_to_tree(_phi2(shrunk))
+    tree = _forest_to_tree(_phi2(shrunk, _unlinked_chain(shrunk)))
     return _raise_rightmost_leaf(tree, k)
 
 

@@ -5,7 +5,8 @@ Subcommands: ``triangle`` (recurrence arrays as JSON or CSV), ``family``
 polynomials, optionally their q-analogues), ``bijection`` (apply any of
 the maps to a JSON-encoded object), and ``verify`` (run registered
 checks).  JSON is the machine default; CSV mirrors the printed table
-layouts for eyeballing.
+layouts for eyeballing.  A ``bijection`` input is decoded, not
+validated: the map validates it, once, as it does for API callers.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error,
 3 size ceiling exceeded (an enumeration ceiling, or a nested JSON input
@@ -27,13 +28,13 @@ from .bijections import (phi1, phi1_b, phi1_b_inv, phi1_d, phi1_d_inv,
                          phi2_d_inv, phi2_inv, zeta1, zeta1_inv, zeta2,
                          zeta2_inv)
 from .errors import LimitError, MembershipError, SettingError
-from .forests import (forest_from_json, forest_to_json, forest_to_tree,
-                      tree_to_forest)
-from .permutations import FAMILY_TAGS, check_window, enumerate_family
+from .forests import (forest_to_json, forest_to_tree, tree_to_forest,
+                      _decode_forest)
+from .permutations import FAMILY_TAGS, enumerate_family
 from .qcalculus import qpoly_P, qpoly_Q, qpoly_R
 from .trees import (psi_cap, psi_cap_inv, psi_circ, psi_circ_inv, psi_star,
-                    psi_star_inv, snake_to_tree, tree_from_json,
-                    tree_to_snake, tree_to_word_json)
+                    psi_star_inv, snake_to_tree, tree_to_snake,
+                    tree_to_word_json, _decode_tree)
 from .triangles import (arnold, arnold_poly, entringer, gamma_arrays,
                         hoffman_P, hoffman_Q, hoffman_R)
 from .verify import CHECKS, run_all, run_check
@@ -67,7 +68,7 @@ def _int_at_least(lo):
 def _parse_window(obj):
     if not isinstance(obj, list) or any(type(x) is not int for x in obj):
         raise ValueError("expected a JSON array of nonzero integers")
-    return check_window(obj)
+    return tuple(obj)
 
 
 def _with_case(fn):
@@ -87,29 +88,29 @@ def _no_trace(fn):
 # name -> (forward, inverse, forward input, forward output, inverse input, inverse output)
 BIJECTIONS = {
     "gamma": (_no_trace(tree_to_snake), _no_trace(snake_to_tree),
-              tree_from_json, list, _parse_window, tree_to_word_json),
+              _decode_tree, list, _parse_window, tree_to_word_json),
     "mu": (_no_trace(tree_to_forest), _no_trace(forest_to_tree),
-           tree_from_json, forest_to_json, forest_from_json, tree_to_word_json),
-    "phi1": (phi1, phi1_inv, _parse_window, forest_to_json, forest_from_json, list),
-    "phi2": (phi2, phi2_inv, _parse_window, forest_to_json, forest_from_json, list),
+           _decode_tree, forest_to_json, _decode_forest, tree_to_word_json),
+    "phi1": (phi1, phi1_inv, _parse_window, forest_to_json, _decode_forest, list),
+    "phi2": (phi2, phi2_inv, _parse_window, forest_to_json, _decode_forest, list),
     "phi1-b": (_no_trace(phi1_b), _no_trace(phi1_b_inv),
-               _parse_window, tree_to_word_json, tree_from_json, list),
+               _parse_window, tree_to_word_json, _decode_tree, list),
     "phi1-d": (_no_trace(phi1_d), _no_trace(phi1_d_inv),
-               _parse_window, tree_to_word_json, tree_from_json, list),
+               _parse_window, tree_to_word_json, _decode_tree, list),
     "phi2-b": (_no_trace(phi2_b), _no_trace(phi2_b_inv),
-               _parse_window, tree_to_word_json, tree_from_json, list),
+               _parse_window, tree_to_word_json, _decode_tree, list),
     "phi2-d": (_no_trace(phi2_d), _no_trace(phi2_d_inv),
-               _parse_window, tree_to_word_json, tree_from_json, list),
+               _parse_window, tree_to_word_json, _decode_tree, list),
     "zeta1": (_no_trace(zeta1), _no_trace(zeta1_inv),
               _parse_window, list, _parse_window, list),
     "zeta2": (_no_trace(zeta2), _no_trace(zeta2_inv),
               _parse_window, list, _parse_window, list),
     "psi-star": (_with_case(psi_star), _with_case(psi_star_inv),
-                 tree_from_json, tree_to_word_json, tree_from_json, tree_to_word_json),
+                 _decode_tree, tree_to_word_json, _decode_tree, tree_to_word_json),
     "psi-circ": (_with_case(psi_circ), _with_case(psi_circ_inv),
-                 tree_from_json, tree_to_word_json, tree_from_json, tree_to_word_json),
+                 _decode_tree, tree_to_word_json, _decode_tree, tree_to_word_json),
     "psi-cap": (_no_trace(psi_cap), _no_trace(psi_cap_inv),
-                tree_from_json, tree_to_word_json, tree_from_json, tree_to_word_json),
+                _decode_tree, tree_to_word_json, _decode_tree, tree_to_word_json),
 }
 
 

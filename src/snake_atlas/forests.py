@@ -167,7 +167,9 @@ def forest_to_json(forest) -> dict:
         for color, root, child in forest]}
 
 
-def forest_from_json(obj) -> tuple:
+def _decode_forest(obj) -> tuple:
+    """The forest of the JSON form, components sorted by root label, not
+    yet validated."""
     if not isinstance(obj, dict) or not isinstance(obj.get("components"), list):
         raise ValueError('expected a forest {"components": [...]}')
     comps = []
@@ -177,6 +179,10 @@ def forest_from_json(obj) -> tuple:
         child = c["child"]
         comps.append((c["color"], label_from_json(c["root"]),
                       EMPTY if child == "empty" else node_from_json(child)))
-    forest = tuple(sorted(comps, key=lambda c: c[1]))
+    return tuple(sorted(comps, key=lambda c: c[1]))
+
+
+def forest_from_json(obj) -> tuple:
+    forest = _decode_forest(obj)
     validate_forest(forest)
     return forest

@@ -147,17 +147,19 @@ def _linked(w):
     return [0] + list(range(n + 1)), list(range(1, n + 2)) + [n + 1], at
 
 
-def _bad_levels(w, signed: bool, need_ascent: bool):
+def _bad_levels(w, signed: bool, need_ascent: bool, links=None):
     """Levels k = n, ..., 2, largest first, whose restriction of w (of |w|
     unless ``signed``) has a double descent or, with ``need_ascent``,
     ends in a descent.  One O(n) pass: the word is a doubly linked list
     between sentinels below and above every value (so no triple through
     them descends), and deleting |x| = n, ..., 2 in turn changes only the
     triples through the deleted entry, so the descending-triple count
-    stays current."""
+    stays current.  The list is ``links`` (``_linked(w)``, a fresh one by
+    default); a caller that keeps it finds only the entry 1 left in it
+    once the pass has run to the end."""
     n = len(w)
     v = [-n - 1] + [x if signed else abs(x) for x in w] + [n + 1]
-    prv, nxt, at = _linked(w)
+    prv, nxt, at = links or _linked(w)
     count = sum(x > y > z for x, y, z in zip(v, v[1:], v[2:]))
     for k in range(n, 1, -1):
         last = prv[n + 1]

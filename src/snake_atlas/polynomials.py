@@ -9,6 +9,7 @@ polynomial is zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from operator import add
 from typing import Iterable, Mapping
 
@@ -19,7 +20,7 @@ class LaurentPoly:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        if any(not isinstance(c, int) for c in self.coeffs):
+        if not all(map(isinstance, self.coeffs, repeat(int))):
             raise TypeError("coefficients must be integers")
         if self.coeffs and (self.coeffs[0] == 0 or self.coeffs[-1] == 0):
             raise ValueError("not canonical: leading/trailing zero coefficient")

@@ -167,7 +167,7 @@ def word_sort_key(word) -> tuple:
     return tuple(0 if x == EMPTY else x for x in word)
 
 
-# -- mutable node-map form (bijections._Builder) ------------------------
+# -- mutable node-map form (bijections._forest) -------------------------
 
 def tree_nodes(tree):
     """Return (root_label, nodes) with nodes[k] = None | [left, right],
@@ -195,7 +195,7 @@ def _subtrees(nodes: dict) -> dict:
             built[k] = (k,)
         elif len(kids) == 2:
             built[k] = (k, built[kids[0]], built[kids[1]])
-        else:  # a forest root's one slot (``bijections._Builder``)
+        else:  # a forest root's one slot (``bijections._forest``)
             built[k] = (k, built[kids[0]])
     return built
 
@@ -464,10 +464,16 @@ def node_from_json(o):
     return (label_from_json(o["label"]), node_from_json(o["left"]), node_from_json(o["right"]))
 
 
+def _decode_tree(obj):
+    """The tree of the nested form or the inorder-word array form, not
+    yet validated."""
+    if isinstance(obj, list):
+        return _from_word(x if x == EMPTY else label_from_json(x) for x in obj)
+    return node_from_json(obj)
+
+
 def tree_from_json(obj):
     """Accept the nested form or the inorder-word array form."""
-    if isinstance(obj, list):
-        return tree_from_word(tuple(x if x == EMPTY else label_from_json(x) for x in obj))
-    tree = node_from_json(obj)
+    tree = _decode_tree(obj)
     validate_tree(tree)
     return tree

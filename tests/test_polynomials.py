@@ -74,3 +74,11 @@ def test_evaluation_is_a_homomorphism(a, t):
 @given(laurents)
 def test_evaluation_at_one_sums_coefficients(a):
     assert a(1) == sum(a.coeffs)
+
+
+@pytest.mark.parametrize("bad", [1.0, 2.5, "1", None])
+def test_non_integer_coefficients_are_rejected(bad):
+    with pytest.raises(TypeError) as info:
+        LaurentPoly(0, (1, bad, 1))
+    assert str(info.value) == "coefficients must be integers"
+    assert LaurentPoly(0, (True, 2)).coeffs == (True, 2)  # bool is an int subclass
