@@ -36,11 +36,12 @@ from __future__ import annotations
 from .errors import MembershipError
 from .forests import (BLACK, WHITE, _forest_to_tree, _tree_to_forest,
                       validate_forest)
-from .permutations import (check_window, expand_first_entry,
-                           expand_last_entry, shrink_first_entry,
-                           shrink_last_entry, _augmenting, _bad_levels,
-                           _cond_b_type1, _cond_b_type2, _linked, _member,
-                           _rl_min_positions, _simsun_levels_ok)
+from .permutations import (_D_REFINEMENTS, check_window,
+                           expand_first_entry, expand_last_entry,
+                           shrink_first_entry, shrink_last_entry,
+                           _bad_levels, _cond_b_type1, _cond_b_type2,
+                           _linked, _member, _rl_min_positions,
+                           _simsun_levels_ok)
 from .trees import (EMPTY, _lower_rightmost_leaf, _raise_rightmost_leaf,
                     _subtrees, is_starred, rmlab, tree_nodes, validate_tree)
 
@@ -135,36 +136,44 @@ def _require_family(w, family: str, name: str):
         raise MembershipError(f"{name}: input not in {family}", step=k)
 
 
-def _unlinked_chain(w):
-    """(prv, nxt, at) of ``permutations._linked`` after unlinking the
-    entries |x| = n, ..., 1 in turn: one O(n) pass.  An unlinked entry
+def _member_chain(w, family: str, message: str):
+    """The restriction chain of a member of ``family`` (rsi or rsii, or
+    its -b refinement), else a MembershipError with ``message`` (and, for
+    rsi or rsii, the first bad level as its step).  The chain is
+    (prv, nxt, at) of ``permutations._linked`` after unlinking the
+    entries |x| = n, ..., 1 in turn; the membership scan
+    (``permutations._bad_levels``) unlinks n, ..., 2 from the list it
+    reads, which leaves only the entry 1 to unlink.  An unlinked entry
     keeps its own links, so relinking |x| = 1, ..., n in turn
     (``nxt[prv[p]] = prv[nxt[p]] = p``) replays the restriction chain:
     just before entry j is relinked, the list holds the level-(j-1)
     restriction and j's links name its neighbours in the level-j one."""
-    prv, nxt, at = _linked(w)
-    for k in range(len(w), 0, -1):
-        p = at[k]
-        nxt[prv[p]], prv[nxt[p]] = nxt[p], prv[p]
-    return prv, nxt, at
-
-
-def _member_chain(w, family: str, name: str):
-    """``_unlinked_chain(w)`` of a member of ``family`` (rsi or rsii, or
-    its -b refinement), else ``name``'s MembershipError.  The membership
-    scan (``permutations._bad_levels``) unlinks n, ..., 2 from the list
-    it reads, which leaves only the entry 1 to unlink."""
     n = len(w)
     chain = prv, nxt, _ = _linked(w)
     signed = family.startswith("rsii")
     k = min(_bad_levels(w, signed, False, chain), default=None)
     if family.endswith("-b"):
         if k is not None or not (_cond_b_type2 if signed else _cond_b_type1)(w):
-            raise MembershipError(f"{name}: input not in {family}")
+            raise MembershipError(message)
     elif k is not None:
-        raise MembershipError(f"{name}: input not in {family}", step=k)
+        raise MembershipError(message, step=k)
     nxt[0], prv[n + 1] = n + 1, 0
     return chain
+
+
+def _d_member_chain(w, family: str, name: str, anchor: int):
+    """(k, u, chain) of a member w of size >= 2 of ``family`` (rsi-d or
+    rsii-d), else ``name``'s MembershipError.  w is one exactly when its
+    entry at ``anchor`` (-1 or 0) is some -k, the window u it shrinks to
+    is in the -b family, and bound(u) < k
+    (``permutations._D_REFINEMENTS``); chain is u's ``_member_chain``."""
+    message = f"{name}: input not in {family} (size >= 2)"
+    b_family, _, bound = _D_REFINEMENTS[family]
+    k = -w[anchor]
+    u = (shrink_last_entry if anchor else shrink_first_entry)(w)
+    if len(w) < 2 or k < 0 or bound(u) >= k:
+        raise MembershipError(message)
+    return k, u, _member_chain(u, b_family, message)
 
 
 def _hooks(forest):
@@ -211,11 +220,11 @@ def _word(nxt: list, signs: dict, n: int) -> tuple:
 
 def phi1(window, trace: bool = False):
     w = check_window(window)
-    return _phi1(w, _member_chain(w, "rsi", "phi1"), trace)
+    return _phi1(w, _member_chain(w, "rsi", "phi1: input not in rsi"), trace)
 
 
 def _phi1(w, chain, trace: bool = False):
-    """``phi1`` of an rsi member with its ``_unlinked_chain``: step j
+    """``phi1`` of an rsi member with its ``_member_chain``: step j
     reads the neighbours a, c of j in the level-j restriction and the
     marks of a, c one level down, where they are adjacent (peaks and
     double ascents of the absolute word, read off the linked list)."""
@@ -291,11 +300,11 @@ def _phi1_inv(forest, trace: bool = False):
 
 def phi2(window, trace: bool = False):
     w = check_window(window)
-    return _phi2(w, _member_chain(w, "rsii", "phi2"), trace)
+    return _phi2(w, _member_chain(w, "rsii", "phi2: input not in rsii"), trace)
 
 
 def _phi2(w, chain, trace: bool = False):
-    """``phi2`` of an rsii member, read off its ``_unlinked_chain`` as in
+    """``phi2`` of an rsii member, read off its ``_member_chain`` as in
     ``_phi1`` but by signed value; a type-ii step ranks its target among
     the double ascents of the level-(j-1) restriction by walking that
     list, and finds the singular leaf of that rank on the frontier."""
@@ -402,13 +411,14 @@ def _phi2_inv(forest, trace: bool = False):
 
 
 # -- tree-valued variants -------------------------------------------------
-# Each map checks its input once and then runs the unchecked cores:
-# shrinking an rsi-d (rsii-d) member leaves an rsi-b (rsii-b) member,
-# which is in rsi (rsii), and a forest cut from a valid tree is valid.
+# Each map checks its input once and then runs the unchecked cores: a
+# -d map checks the window its anchor shrinks to for rsi-b (rsii-b)
+# membership, which implies rsi (rsii), and a forest cut from a valid
+# tree is valid.
 
 def phi1_b(window):
     w = check_window(window)
-    return _forest_to_tree(_phi1(w, _member_chain(w, "rsi-b", "phi1_b")))
+    return _forest_to_tree(_phi1(w, _member_chain(w, "rsi-b", "phi1_b: input not in rsi-b")))
 
 
 def phi1_b_inv(tree):
@@ -424,13 +434,8 @@ def _phi1_b_inv(tree):
 
 
 def phi1_d(window):
-    w = check_window(window)
-    if not _member(w, "rsi-d") or len(w) < 2:
-        raise MembershipError("phi1_d: input not in rsi-d (size >= 2)")
-    k = abs(w[-1])
-    shrunk = shrink_last_entry(w)
-    tree = _forest_to_tree(_phi1(shrunk, _unlinked_chain(shrunk)))
-    return _raise_rightmost_leaf(tree, k)
+    k, u, chain = _d_member_chain(check_window(window), "rsi-d", "phi1_d", -1)
+    return _raise_rightmost_leaf(_forest_to_tree(_phi1(u, chain)), k)
 
 
 def phi1_d_inv(tree):
@@ -445,7 +450,7 @@ def phi1_d_inv(tree):
 
 def phi2_b(window):
     w = check_window(window)
-    return _forest_to_tree(_phi2(w, _member_chain(w, "rsii-b", "phi2_b")))
+    return _forest_to_tree(_phi2(w, _member_chain(w, "rsii-b", "phi2_b: input not in rsii-b")))
 
 
 def phi2_b_inv(tree):
@@ -461,16 +466,8 @@ def _phi2_b_inv(tree):
 
 
 def phi2_d(window):
-    w = check_window(window)
-    if not _member(w, "rsii-d") or len(w) < 2:
-        raise MembershipError("phi2_d: input not in rsii-d (size >= 2)")
-    k = abs(w[0])
-    shrunk = shrink_first_entry(w)
-    aug = _augmenting(shrunk)
-    if not aug or aug[-1] >= k:
-        raise MembershipError("phi2_d: shrunk window lacks a smaller augmenting anchor")
-    tree = _forest_to_tree(_phi2(shrunk, _unlinked_chain(shrunk)))
-    return _raise_rightmost_leaf(tree, k)
+    k, u, chain = _d_member_chain(check_window(window), "rsii-d", "phi2_d", 0)
+    return _raise_rightmost_leaf(_forest_to_tree(_phi2(u, chain)), k)
 
 
 def phi2_d_inv(tree):
@@ -523,10 +520,7 @@ def zeta1(window) -> tuple[int, ...]:
     _require_family(w, "adi", "zeta1")
     if len(w) < 2:
         raise MembershipError("zeta1 needs size >= 2")
-    mins = _rl_min_positions([abs(x) for x in w])
-    if w[mins[0]] != 1:
-        raise MembershipError("zeta1: minima structure violated")
-    return _slide(w, mins)
+    return _slide(w, _rl_min_positions([abs(x) for x in w]))
 
 
 def zeta1_inv(window) -> tuple[int, ...]:

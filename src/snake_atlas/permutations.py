@@ -37,9 +37,6 @@ FAMILY_TAGS = (
     "alternating-unsigned", "simsun-unsigned", "andre-unsigned",
 )
 
-Window = tuple
-
-
 def check_window(window) -> tuple[int, ...]:
     """Validate a signed-permutation window and return it as a tuple of
     ints.  An entry must equal its ``int()``: 2.7 and "2" are rejected."""

@@ -7,6 +7,11 @@ Four recurrence-defined arrays live here:
 * the polynomial refinement of the double triangle, and
 * the variant that restricts to trees with an empty leftmost leaf.
 
+The last three are one signed boustrophedon recurrence
+(``_signed_boustrophedon``) from three first rows (V(1,1), V(1,-1)):
+(1, 1) on integers, then (t^2, 1) and, for the leftmost-leaf-empty
+("gamma") arrays, (t^2, 0) on Laurent polynomials.
+
 The derivative polynomials P_n, Q_n, R_n of tan, sec and sec^2 iterate
 f -> (1+t^2) f' + a t f (a = 0, 1, 2; P_0 = t, Q_0 = R_0 = 1) on a plain
 coefficient list, and the triangle row sums are checked against them.
@@ -54,15 +59,15 @@ class DoubleTriangle(Generic[V]):
         return self.entries[(r, k)]
 
     def positive_sum(self, r: int):
-        total = self.entries[(r, 1)]
-        for k in range(2, r + 1):
-            total = total + self.entries[(r, k)]
-        return total
+        return self._side_sum(r, 1)
 
     def negative_sum(self, r: int):
-        total = self.entries[(r, -1)]
+        return self._side_sum(r, -1)
+
+    def _side_sum(self, r: int, sign: int):
+        total = self.entries[(r, sign)]
         for k in range(2, r + 1):
-            total = total + self.entries[(r, -k)]
+            total = total + self.entries[(r, sign * k)]
         return total
 
     def to_json(self) -> dict:
@@ -85,23 +90,34 @@ def entringer(n: int) -> EntringerTriangle:
     return EntringerTriangle(n, e)
 
 
+def _signed_boustrophedon(n: int, row1: tuple, shift) -> DoubleTriangle:
+    """Rows 1..n of the signed boustrophedon from row 1 = (V(1,1), V(1,-1)):
+
+        V(r,-r) = 0,    V(r,-k) = V(r,-k-1) + t^-1 V(r-1,k)  for k = r-1..1,
+        V(r,1) = t^2 V(r,-1),    V(r,k) = V(r,k-1) + t V(r-1,-k+1),
+
+    where ``shift(x, m)`` is x times t^m."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    v = {(1, 1): row1[0], (1, -1): row1[1]}
+    zero = row1[0] * 0
+    for r in range(2, n + 1):
+        total = v[(r, -r)] = zero
+        for k in range(r - 1, 0, -1):
+            total = v[(r, -k)] = total + shift(v[(r - 1, k)], -1)
+        total = v[(r, 1)] = shift(total, 2)
+        for k in range(2, r + 1):
+            total = v[(r, k)] = total + shift(v[(r - 1, -k + 1)], 1)
+    return DoubleTriangle(n, v)
+
+
 def arnold(n: int) -> DoubleTriangle:
     """Double triangle counting snakes by (signed) first entry.
 
     Row sums over positive columns give the type-B numbers, over
     negative columns the type-D numbers.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    v = {(1, 1): 1, (1, -1): 1}
-    for r in range(2, n + 1):
-        v[(r, -r)] = 0
-        for k in range(r - 1, 0, -1):
-            v[(r, -k)] = v[(r, -k - 1)] + v[(r - 1, k)]
-        v[(r, 1)] = v[(r, -1)]
-        for k in range(2, r + 1):
-            v[(r, k)] = v[(r, k - 1)] + v[(r - 1, -k + 1)]
-    return DoubleTriangle(n, v)
+    return _signed_boustrophedon(n, (1, 1), lambda x, m: x)
 
 
 def arnold_poly(n: int) -> DoubleTriangle:
@@ -112,47 +128,24 @@ def arnold_poly(n: int) -> DoubleTriangle:
     may pass through negative exponents; every final entry is a proper
     polynomial, which is asserted.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    t = LaurentPoly.t_power
-    V = {(1, 1): t(2), (1, -1): LaurentPoly.one()}
-    for r in range(2, n + 1):
-        V[(r, -r)] = LaurentPoly.zero()
-        for k in range(r - 1, 0, -1):
-            V[(r, -k)] = V[(r, -k - 1)] + V[(r - 1, k)].shift(-1)
-        V[(r, 1)] = V[(r, -1)].shift(2)
-        for k in range(2, r + 1):
-            V[(r, k)] = V[(r, k - 1)] + V[(r - 1, -k + 1)].shift(1)
-    for val in V.values():
+    tri = _signed_boustrophedon(n, (LaurentPoly.t_power(2), LaurentPoly.one()),
+                                LaurentPoly.shift)
+    for val in tri.entries.values():
         assert val.is_zero() or val.min_exp >= 0
-    return DoubleTriangle(n, V)
+    return tri
 
 
 def gamma_arrays(n: int) -> DoubleTriangle:
     """Signed-column triangle for the leftmost-leaf-empty tree classes.
 
     Positive column k holds the circ-class sum at rightmost label
-    n-k+1, negative column -k the star-class sum.  Evaluating at t=1
+    n-k+1, negative column -k the star-class sum.  These are the
+    ``arnold_poly`` recurrence from row 1 = (t^2, 0).  Evaluating at t=1
     yields the triangle that counts snakes whose last entry has sign
     (-1)^(n+1).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    star = {(1, 1): LaurentPoly.zero()}
-    circ = {(1, 1): LaurentPoly.t_power(2)}
-    for r in range(2, n + 1):
-        star[(r, 1)] = LaurentPoly.zero()
-        for k in range(2, r + 1):
-            star[(r, k)] = star[(r, k - 1)] + circ[(r - 1, k - 1)].shift(-1)
-        circ[(r, r)] = star[(r, r)].shift(2)
-        for k in range(r - 1, 0, -1):
-            circ[(r, k)] = circ[(r, k + 1)] + star[(r - 1, k)].shift(1)
-    out = {}
-    for r in range(1, n + 1):
-        for k in range(1, r + 1):
-            out[(r, k)] = circ[(r, r - k + 1)]
-            out[(r, -k)] = star[(r, r - k + 1)]
-    return DoubleTriangle(n, out)
+    return _signed_boustrophedon(n, (LaurentPoly.t_power(2), LaurentPoly.zero()),
+                                 LaurentPoly.shift)
 
 
 def _derivative_poly(n: int, a: int, start: list[int]) -> LaurentPoly:

@@ -34,7 +34,8 @@ from snake_atlas.forests import (BLACK, WHITE, _arranged_key,
                                  validate_forest)
 from snake_atlas.permutations import (_rl_min_positions, _simsun_levels_ok,
                                       all_windows, augmenting_elements,
-                                      enumerate_family, is_beta_snake,
+                                      enumerate_family, expand_first_entry,
+                                      expand_last_entry, gae, is_beta_snake,
                                       is_member, shrink_first_entry,
                                       shrink_last_entry, subword)
 from snake_atlas.trees import (EMPTY, _raise_rightmost_leaf, enumerate_trees,
@@ -486,6 +487,17 @@ def test_shrinking_a_d_member_leaves_a_b_member(n):
         for w in enumerate_family(family, n):
             u = shrink(w)
             assert is_member(u, b) and is_member(u, base), (family, w)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_expanding_a_b_member_past_its_bound_leaves_a_d_member(n):
+    """The converse: phi1_d/phi2_d check a window's -d membership as -b
+    membership of its shrunk form plus the anchor bound."""
+    for family, b, expand, bound in [("rsi-d", "rsi-b", expand_last_entry, lambda u: u[-1]),
+                                     ("rsii-d", "rsii-b", expand_first_entry, gae)]:
+        for u in enumerate_family(b, n - 1):
+            for k in range(bound(u) + 1, n + 1):
+                assert is_member(expand(u, k), family), (family, u, k)
 
 
 def test_a_forest_cut_from_a_valid_tree_is_valid():

@@ -1,5 +1,7 @@
 """Recurrence arrays against published rows and independent oracles."""
+from functools import reduce
 from itertools import permutations
+from operator import add
 
 import pytest
 
@@ -216,3 +218,64 @@ def test_secant_powers_match_the_derivative_loop(a):
     for n in range(61):
         assert hoffman_secant_power(n, a) == f, n
         f = ref_derivative_step(f, a)
+
+
+# -- the one signed recurrence against the three it replaced ---------------
+# Frozen copies of the separate loops: the integer triangle, its polynomial
+# refinement, and the gamma arrays as star/circ tables re-indexed into
+# signed columns.
+
+def ref_arnold(n):
+    v = {(1, 1): 1, (1, -1): 1}
+    for r in range(2, n + 1):
+        v[(r, -r)] = 0
+        for k in range(r - 1, 0, -1):
+            v[(r, -k)] = v[(r, -k - 1)] + v[(r - 1, k)]
+        v[(r, 1)] = v[(r, -1)]
+        for k in range(2, r + 1):
+            v[(r, k)] = v[(r, k - 1)] + v[(r - 1, -k + 1)]
+    return v
+
+
+def ref_arnold_poly(n):
+    t = LaurentPoly.t_power
+    V = {(1, 1): t(2), (1, -1): LaurentPoly.one()}
+    for r in range(2, n + 1):
+        V[(r, -r)] = LaurentPoly.zero()
+        for k in range(r - 1, 0, -1):
+            V[(r, -k)] = V[(r, -k - 1)] + V[(r - 1, k)].shift(-1)
+        V[(r, 1)] = V[(r, -1)].shift(2)
+        for k in range(2, r + 1):
+            V[(r, k)] = V[(r, k - 1)] + V[(r - 1, -k + 1)].shift(1)
+    return V
+
+
+def ref_gamma_arrays(n):
+    star = {(1, 1): LaurentPoly.zero()}
+    circ = {(1, 1): LaurentPoly.t_power(2)}
+    for r in range(2, n + 1):
+        star[(r, 1)] = LaurentPoly.zero()
+        for k in range(2, r + 1):
+            star[(r, k)] = star[(r, k - 1)] + circ[(r - 1, k - 1)].shift(-1)
+        circ[(r, r)] = star[(r, r)].shift(2)
+        for k in range(r - 1, 0, -1):
+            circ[(r, k)] = circ[(r, k + 1)] + star[(r - 1, k)].shift(1)
+    out = {}
+    for r in range(1, n + 1):
+        for k in range(1, r + 1):
+            out[(r, k)] = circ[(r, r - k + 1)]
+            out[(r, -k)] = star[(r, r - k + 1)]
+    return out
+
+
+@pytest.mark.parametrize("fn, ref", [(arnold, ref_arnold), (arnold_poly, ref_arnold_poly),
+                                     (gamma_arrays, ref_gamma_arrays)],
+                         ids=["arnold", "arnold_poly", "gamma_arrays"])
+def test_double_triangles_match_their_separate_loops(fn, ref):
+    for n in range(1, 15):
+        tri = fn(n)
+        assert tri.n == n and tri.entries == ref(n), n
+        for r in range(1, n + 1):
+            row = tri.row(r)
+            assert tri.negative_sum(r) == reduce(add, row[:r]), (n, r)
+            assert tri.positive_sum(r) == reduce(add, row[r:]), (n, r)
