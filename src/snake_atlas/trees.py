@@ -100,8 +100,13 @@ def is_starred(tree) -> bool:
 
 def rmlab(tree) -> int:
     """Label of the last labelled node on the rightmost path."""
+    return _rightmost_end(tree)[1]
+
+
+def _rightmost_end(tree) -> tuple:
+    """``(is_starred(tree), rmlab(tree))`` from one walk down the path."""
     path = rightmost_path(tree)
-    return label(path[-1]) if not is_empty(path[-1]) else label(path[-2])
+    return (True, path[-1][0]) if path[-1] != EMPTY else (False, path[-2][0])
 
 
 def in_left_class(tree) -> bool:
@@ -227,25 +232,30 @@ def _splits(rest: tuple):
                tuple(rest[i] for i in range(m) if not mask >> i & 1))
 
 
+def _left_choices(root: int, rest: tuple, memo: dict) -> list:
+    """``(key(left), left, right labels)`` for each left subtree of a tree on
+    ``(root,) + rest``, sorted by key, which sorts the trees as well: a left
+    subtree fixes the right labels, and where one left key is a proper prefix of
+    another, its tree has the root where the other has a larger inner label."""
+    return sorted([(lk, lt, right) for left, right in _splits(rest)
+                   for lk, lt in _keyed_trees(left, memo)], key=itemgetter(0))
+
+
 def _keyed_trees(labels: tuple, memo: dict) -> list:
-    """``(word_sort_key, tree)`` for every complete increasing tree on a
-    label tuple (``"e"`` if empty), memoised in ``memo`` by label tuple.
-    A tree's key is key(left) + (root,) + key(right), and (0,) for an
-    empty slot, so no inorder word is read."""
+    """``(word_sort_key, tree)`` for every complete increasing tree on a label
+    tuple (``"e"`` if empty) in canonical order, memoised in ``memo`` by label
+    tuple.  A tree's key is key(left) + (root,) + key(right), and (0,) for "e"."""
     found = memo.get(labels)
     if found is not None:
         return found
     if not labels:
-        out = [((0,), EMPTY)]
-    else:
-        root, rest = labels[0], labels[1:]
-        out = [] if rest else [((root,), (root,))]
-        for left, right in _splits(rest):
-            rights = _keyed_trees(right, memo)
-            for lk, lt in _keyed_trees(left, memo):
-                lk += (root,)
-                out.extend((lk + rk, (root, lt, rt)) for rk, rt in rights)
-    memo[labels] = out
+        return [((0,), EMPTY)]
+    root, rest = labels[0], labels[1:]
+    out = memo[labels] = [(lk + (root,) + rk, (root, lt, rt))
+                          for lk, lt, right in _left_choices(root, rest, memo)
+                          for rk, rt in _keyed_trees(right, memo)]
+    if not rest:  # (root,) sorts after (root, e, e), whose key starts with 0
+        out.append(((root,), (root,)))
     return out
 
 
@@ -256,15 +266,15 @@ def enumerate_trees(n: int, *, starred: bool | None = None,
     if n < 1:
         raise ValueError("n must be >= 1")
     enforce_ceiling("tree enumeration", n, max_n, DEFAULT_TREE_CEILING)
-    out = []
-    for key, t in _keyed_trees(tuple(range(1, n + 1)), {}):
-        if starred is not None and is_starred(t) != starred:
-            continue
-        if rightmost is not None and rmlab(t) != rightmost:
-            continue
-        out.append((key, t))
-    out.sort(key=itemgetter(0))
-    return [t for _, t in out]
+    memo = {}
+    out = [(1, lt, rt) for _, lt, right in _left_choices(1, tuple(range(2, n + 1)), memo)
+           for _, rt in _keyed_trees(right, memo)]
+    if n == 1:
+        out.append((1,))
+    if starred is None and rightmost is None:
+        return out
+    return [t for t, (s, k) in zip(out, map(_rightmost_end, out))
+            if starred in (None, s) and rightmost in (None, k)]
 
 
 # -- rightmost-path surgery ---------------------------------------------

@@ -24,9 +24,9 @@ from .polynomials import LaurentPoly
 from .qcalculus import (BiPoly, QPoly, forest_step_weights, qpoly_P, qpoly_Q,
                         qpoly_R, tree_step_weights, weighted_sum_forests,
                         weighted_sum_trees)
-from .trees import (emp, enumerate_trees, in_left_class, inorder_word,
-                    is_starred, psi_cap, psi_cap_inv, psi_circ, psi_circ_inv,
-                    psi_star, psi_star_inv, rmlab)
+from .trees import (_rightmost_end, emp, enumerate_trees, in_left_class,
+                    inorder_word, is_starred, psi_cap, psi_cap_inv, psi_circ,
+                    psi_circ_inv, psi_star, psi_star_inv, rmlab)
 from .triangles import (arnold, arnold_poly, entringer, gamma_arrays,
                         hoffman_P, hoffman_Q, hoffman_R,
                         hoffman_triangle_identity)
@@ -58,7 +58,7 @@ def _class_sums(trees) -> dict:
     first."""
     counts = {}
     for t in trees:
-        counts.setdefault((is_starred(t), rmlab(t)), Counter())[emp(t)] += 1
+        counts.setdefault(_rightmost_end(t), Counter())[emp(t)] += 1
     return {key: LaurentPoly.from_terms(c) for key, c in counts.items()}
 
 

@@ -5,13 +5,15 @@ brute-force reading of each family (every window, filtered by is_member)
 for every family and every anchor value, and, one size further, the
 -b / -d refinements with their base family filtered by is_member.
 
-enumerate_forests sorts nothing and enumerate_trees sorts on keys built
-during generation; both are compared with brute-force listings sorted by
-forest_sort_key / the inorder word, and the counted q-weight sums with
-the naive sum of monomials.
+enumerate_forests and enumerate_trees sort nothing globally: each joins
+memoised lists that come out of generation in canonical order.  They are
+compared with brute-force listings sorted by forest_sort_key / the inorder
+word, every memoised tree list with its brute-force listing, and the
+counted q-weight sums with the naive sum of monomials.
 """
+import hashlib
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -22,8 +24,8 @@ from snake_atlas.permutations import (FAMILY_TAGS, all_windows,
                                       is_member)
 from snake_atlas.qcalculus import (BiPoly, weight_forest, weight_tree,
                                    weighted_sum_forests, weighted_sum_trees)
-from snake_atlas.trees import (EMPTY, emp, enumerate_trees, inorder_word,
-                               is_starred, rmlab, word_sort_key)
+from snake_atlas.trees import (EMPTY, _keyed_trees, emp, enumerate_trees,
+                               inorder_word, is_starred, rmlab, word_sort_key)
 
 
 def _gae_or_zero(w):
@@ -143,6 +145,27 @@ def test_trees_come_out_in_inorder_word_order(n):
             assert _no_duplicates(got)
             assert got == [t for t in brute if starred in (None, is_starred(t))
                            and rightmost in (None, rmlab(t))], (starred, rightmost)
+
+
+def test_every_memoised_tree_list_is_canonical():
+    memo = {}
+    for size in range(6):
+        for labels in combinations(range(1, 8), size):
+            got = _keyed_trees(labels, memo)
+            keys = [k for k, _ in got]
+            assert keys == [_tree_key(t) for _, t in got], labels
+            assert all(a < b for a, b in zip(keys, keys[1:])), labels
+            assert [t for _, t in got] == sorted(_brute_trees(labels), key=_tree_key), labels
+
+
+# SHA-256 of the reprs of enumerate_trees(8), one per line, as the global
+# sort on inorder-word keys ordered them
+TREES_8_DIGEST = "00ddda9b6d09159b20bea80dba0f28779b1898bf540ead9ff554c780582232bb"
+
+
+def test_tree_order_at_n8_is_pinned():
+    listing = "\n".join(map(repr, enumerate_trees(8)))
+    assert hashlib.sha256(listing.encode()).hexdigest() == TREES_8_DIGEST
 
 
 def _naive_sum(objects, weight, size):
