@@ -33,24 +33,25 @@ tree afterwards.
 """
 from __future__ import annotations
 
+from math import inf
+
 from .errors import MembershipError
 from .forests import (BLACK, WHITE, _forest_to_tree, _tree_to_forest,
                       validate_forest)
 from .permutations import (_D_REFINEMENTS, check_window,
                            expand_first_entry, expand_last_entry,
                            shrink_first_entry, shrink_last_entry,
-                           _bad_levels, _cond_b_type1, _cond_b_type2,
+                           _cond_b_type1, _cond_b_type2, _first_bad_level,
                            _linked, _member, _rl_min_positions,
                            _simsun_levels_ok)
 from .trees import (EMPTY, _lower_rightmost_leaf, _raise_rightmost_leaf,
-                    _subtrees, is_starred, rmlab, tree_nodes, validate_tree)
+                    _rightmost_end, _subtrees, validate_tree)
 
 
 def _forest(colors: dict, kids: dict) -> tuple:
     """The forest of a node map keyed by label: a root holds its one child
     slot (``[EMPTY]`` or ``[label]``), an inner node its two (``[l, r]``),
-    a labelled leaf ``None``; ``colors`` holds the roots' colors.  The
-    non-root entries are the ``trees.tree_nodes`` node map."""
+    a labelled leaf ``None``; ``colors`` holds the roots' colors."""
     built = _subtrees(kids)  # a root's entry is (root, child)
     return tuple((colors[root],) + built[root] for root in sorted(colors))
 
@@ -141,9 +142,11 @@ def _member_chain(w, family: str, message: str):
     its -b refinement), else a MembershipError with ``message`` (and, for
     rsi or rsii, the first bad level as its step).  The chain is
     (prv, nxt, at) of ``permutations._linked`` after unlinking the
-    entries |x| = n, ..., 1 in turn; the membership scan
-    (``permutations._bad_levels``) unlinks n, ..., 2 from the list it
-    reads, which leaves only the entry 1 to unlink.  An unlinked entry
+    entries |x| = n, ..., 1 in turn.  The membership scan
+    (``permutations._first_bad_level``) unlinks n, ..., 2 from the list
+    it reads, flagging each entry that creates its level's defect (the
+    least bad level's defect is its own entry's, as the levels below are
+    clean), and leaves only the entry 1 to unlink.  An unlinked entry
     keeps its own links, so relinking |x| = 1, ..., n in turn
     (``nxt[prv[p]] = prv[nxt[p]] = p``) replays the restriction chain:
     just before entry j is relinked, the list holds the level-(j-1)
@@ -151,7 +154,7 @@ def _member_chain(w, family: str, message: str):
     n = len(w)
     chain = prv, nxt, _ = _linked(w)
     signed = family.startswith("rsii")
-    k = min(_bad_levels(w, signed, False, chain), default=None)
+    k = _first_bad_level(w, signed, False, chain)
     if family.endswith("-b"):
         if k is not None or not (_cond_b_type2 if signed else _cond_b_type1)(w):
             raise MembershipError(message)
@@ -178,33 +181,38 @@ def _d_member_chain(w, family: str, name: str, anchor: int):
 
 def _hooks(forest):
     """(colors, n, signs, hooks) for the inverses, which replay a forest's
-    labels in increasing order.  A node is positive when it is a white
-    root or its left slot holds the larger label (an empty slot counts as
-    larger than any), so a labelled leaf is negative.  ``hooks[j]`` is
-    None for a root, else (v, i, terminal) for j in the slot (v, i):
-    terminal when v, no root, has no smaller child, and so is still a
-    labelled leaf or two empty leaves, by its sign, as j arrives."""
-    colors, kids = {}, {}
+    labels in increasing order, from one walk of its components.  A node
+    is positive when it is a white root or its left slot holds the larger
+    label (an empty slot counts as larger than any), so a labelled leaf
+    is negative.  ``hooks[j]`` is None for a root, else (v, i, terminal)
+    for j in the slot (v, i): terminal when v, no root, has no smaller
+    child, and so is still a labelled leaf or two empty leaves, by its
+    sign, as j arrives."""
+    colors, signs, hooks = {}, {}, {}
     for color, root, child in forest:
         colors[root] = color
-        kids[root] = [child if child == EMPTY else child[0]]
-        if child != EMPTY:
-            kids.update(tree_nodes(child)[1])
-    n = len(kids)
-    signs, hooks = {}, [None] * (n + 1)
-    for v, kid in kids.items():
-        if kid is None:
-            signs[v] = -1
+        signs[root] = 1 if color == WHITE else -1
+        hooks[root] = None
+        if child == EMPTY:
             continue
-        key = [n + 1 if c == EMPTY else c for c in kid]
-        if v in colors:
-            signs[v] = 1 if colors[v] == WHITE else -1
-        else:
-            signs[v] = 1 if key[0] >= key[1] else -1
-        for i, c in enumerate(kid):
-            if c != EMPTY:
-                hooks[c] = (v, i, len(kid) == 2 and key[i - 1] > c)
-    return colors, n, signs, hooks
+        hooks[child[0]] = (root, 0, False)
+        todo = [child]
+        while todo:
+            node = todo.pop()
+            if len(node) == 1:
+                signs[node[0]] = -1
+                continue
+            k, left, right = node
+            a = inf if left == EMPTY else left[0]
+            b = inf if right == EMPTY else right[0]
+            signs[k] = 1 if a >= b else -1
+            if b != inf:
+                hooks[b] = (k, 1, a > b)
+                todo.append(right)
+            if a != inf:
+                hooks[a] = (k, 0, b > a)
+                todo.append(left)
+    return colors, len(signs), signs, hooks
 
 
 def _word(nxt: list, signs: dict, n: int) -> tuple:
@@ -440,9 +448,9 @@ def phi1_d(window):
 
 def phi1_d_inv(tree):
     validate_tree(tree)
-    if not is_starred(tree):
+    starred, k = _rightmost_end(tree)
+    if not starred:
         raise MembershipError("phi1_d_inv: rightmost leaf must be labelled")
-    k = rmlab(tree)
     if k < 2:
         raise MembershipError("phi1_d_inv: rightmost label must be >= 2")
     return expand_last_entry(_phi1_b_inv(_lower_rightmost_leaf(tree)), k)
@@ -472,9 +480,9 @@ def phi2_d(window):
 
 def phi2_d_inv(tree):
     validate_tree(tree)
-    if not is_starred(tree):
+    starred, k = _rightmost_end(tree)
+    if not starred:
         raise MembershipError("phi2_d_inv: rightmost leaf must be labelled")
-    k = rmlab(tree)
     if k < 2:
         raise MembershipError("phi2_d_inv: rightmost label must be >= 2")
     return expand_first_entry(_phi2_b_inv(_lower_rightmost_leaf(tree)), k)

@@ -144,39 +144,43 @@ def _linked(w):
     return [0] + list(range(n + 1)), list(range(1, n + 2)) + [n + 1], at
 
 
-def _bad_levels(w, signed: bool, need_ascent: bool, links=None):
-    """Levels k = n, ..., 2, largest first, whose restriction of w (of |w|
-    unless ``signed``) has a double descent or, with ``need_ascent``,
-    ends in a descent.  One O(n) pass: the word is a doubly linked list
-    between sentinels below and above every value (so no triple through
-    them descends), and deleting |x| = n, ..., 2 in turn changes only the
-    triples through the deleted entry, so the descending-triple count
-    stays current.  The list is ``links`` (``_linked(w)``, a fresh one by
-    default); a caller that keeps it finds only the entry 1 left in it
-    once the pass has run to the end."""
+def _first_bad_level(w, signed: bool, need_ascent: bool, links=None) -> int | None:
+    """The least level k whose restriction of w (of |w| unless ``signed``)
+    has a double descent or, with ``need_ascent``, ends in a descent, or
+    None.  Every level below k is clean, so k's defect is created by k's
+    own entry.  One O(n) pass deletes |x| = n, ..., 2 from the word, a
+    doubly linked list between sentinels below and above every value,
+    and flags k when its entry creates a defect.  The largest entry of a
+    level (always unless ``signed``, else +k) does when its right
+    neighbour c descends to the next entry, or with ``need_ascent`` c is
+    last; the smallest (-k) when its left neighbour a descends from the
+    one before, or with ``need_ascent`` it is last and not alone.  The
+    last k flagged is the least.  The list is ``links`` (``_linked(w)``,
+    a fresh one by default); a caller that keeps it finds only the entry
+    1 left in it once the pass has run."""
     n = len(w)
-    v = [-n - 1] + [x if signed else abs(x) for x in w] + [n + 1]
+    v = [-n - 1, *(w if signed else map(abs, w)), n + 1]
     prv, nxt, at = links or _linked(w)
-    count = sum(x > y > z for x, y, z in zip(v, v[1:], v[2:]))
+    first = None
     for k in range(n, 1, -1):
-        last = prv[n + 1]
-        if count or need_ascent and v[prv[last]] > v[last]:
-            yield k
         p = at[k]
-        a, b = prv[p], nxt[p]
-        va, vp, vb, vz, vc = v[a], v[p], v[b], v[prv[a]], v[nxt[b]]
-        count += ((vz > va > vb) + (va > vb > vc)
-                  - (vz > va > vp) - (va > vp > vb) - (vp > vb > vc))
-        nxt[a], prv[b] = b, a
+        a, c = prv[p], nxt[p]
+        if v[p] > 0:
+            if v[c] > v[nxt[c]] or need_ascent and c <= n and nxt[c] > n:
+                first = k
+        elif v[prv[a]] > v[a] or need_ascent and c > n and a:
+            first = k
+        nxt[a], prv[c] = c, a
+    return first
 
 
 def _simsun_levels_ok(w, signed: bool) -> int | None:
     """First level 1..n whose restriction has a double descent, else None."""
-    return min(_bad_levels(w, signed, need_ascent=False), default=None)
+    return _first_bad_level(w, signed, need_ascent=False)
 
 
 def _andre_levels_ok(w, signed: bool) -> bool:
-    return next(_bad_levels(w, signed, need_ascent=True), None) is None
+    return _first_bad_level(w, signed, need_ascent=True) is None
 
 
 def _rl_min_positions(absvals) -> list[int]:

@@ -95,7 +95,7 @@ def rightmost_path(tree) -> list:
 
 def is_starred(tree) -> bool:
     """True when the rightmost leaf is labelled."""
-    return not is_empty(rightmost_path(tree)[-1])
+    return _rightmost_end(tree)[0]
 
 
 def rmlab(tree) -> int:
@@ -105,8 +105,10 @@ def rmlab(tree) -> int:
 
 def _rightmost_end(tree) -> tuple:
     """``(is_starred(tree), rmlab(tree))`` from one walk down the path."""
-    path = rightmost_path(tree)
-    return (True, path[-1][0]) if path[-1] != EMPTY else (False, path[-2][0])
+    node = tree
+    while len(node) == 3:  # "e" and a labelled leaf end the path
+        k, _, node = node
+    return (True, node[0]) if node != EMPTY else (False, k)
 
 
 def in_left_class(tree) -> bool:
@@ -174,25 +176,11 @@ def word_sort_key(word) -> tuple:
 
 # -- mutable node-map form (bijections._forest) -------------------------
 
-def tree_nodes(tree):
-    """Return (root_label, nodes) with nodes[k] = None | [left, right],
-    child slots holding EMPTY or a label."""
-    nodes = {}
-    todo = [tree]
-    while todo:
-        node = todo.pop()
-        if len(node) == 1:
-            nodes[node[0]] = None
-            continue
-        k, l, r = node
-        nodes[k] = [l if l == EMPTY else l[0], r if r == EMPTY else r[0]]
-        todo += [c for c in (r, l) if c != EMPTY]
-    return tree[0], nodes
-
-
 def _subtrees(nodes: dict) -> dict:
     """Label -> ``(label, *children)`` for every entry of a node map, built
-    in decreasing label order: children carry larger labels."""
+    in decreasing label order: children carry larger labels.  A node map
+    sends a label to None (a labelled leaf), ``[left, right]`` or, for a
+    forest root, ``[child]``; a slot holds EMPTY or a label."""
     built = {EMPTY: EMPTY}
     for k in sorted(nodes, reverse=True):
         kids = nodes[k]
@@ -200,7 +188,7 @@ def _subtrees(nodes: dict) -> dict:
             built[k] = (k,)
         elif len(kids) == 2:
             built[k] = (k, built[kids[0]], built[kids[1]])
-        else:  # a forest root's one slot (``bijections._forest``)
+        else:
             built[k] = (k, built[kids[0]])
     return built
 

@@ -55,11 +55,11 @@ def _family_poly(members, weight) -> LaurentPoly:
 
 def _class_sums(trees) -> dict:
     """Sums of t^emp over ``trees`` by class ``(starred, rmlab)``, counted
-    first."""
-    counts = {}
-    for t in trees:
-        counts.setdefault(_rightmost_end(t), Counter())[emp(t)] += 1
-    return {key: LaurentPoly.from_terms(c) for key, c in counts.items()}
+    first as (class, emp) pairs."""
+    terms = {}
+    for (key, e), c in Counter((_rightmost_end(t), emp(t)) for t in trees).items():
+        terms.setdefault(key, {})[e] = c
+    return {key: LaurentPoly.from_terms(c) for key, c in terms.items()}
 
 
 def _bijection_fail(dom, fwd, inv, image_fail, cod, missing):

@@ -39,8 +39,8 @@ from snake_atlas.permutations import (_rl_min_positions, _simsun_levels_ok,
                                       is_member, shrink_first_entry,
                                       shrink_last_entry, subword)
 from snake_atlas.trees import (EMPTY, _raise_rightmost_leaf, enumerate_trees,
-                               nodes_to_tree, snake_to_tree, tree_nodes,
-                               tree_to_snake)
+                               nodes_to_tree, snake_to_tree, tree_to_snake)
+from test_trees import tree_nodes
 
 
 # -- reference: the forest builder with its root slots kept apart -----------

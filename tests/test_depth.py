@@ -17,8 +17,9 @@ from snake_atlas.forests import (BLACK, WHITE, forest_to_tree, tree_to_forest,
 from snake_atlas.trees import (EMPTY, flip, nodes_to_tree, psi_cap,
                                psi_cap_inv, psi_circ, psi_circ_inv, psi_star,
                                psi_star_inv, snake_to_tree, tree_from_word,
-                               tree_nodes, tree_to_snake, validate_tree)
+                               tree_to_snake, validate_tree)
 from snake_atlas.trees import inorder_word as word
+from test_trees import tree_nodes
 
 N = 2000
 

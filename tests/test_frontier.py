@@ -22,7 +22,8 @@ from snake_atlas.forests import (BLACK, WHITE, _arranged_key, _tree_to_forest,
                                  enumerate_forests, validate_forest)
 from snake_atlas.permutations import expand_first_entry, expand_last_entry, is_member
 from snake_atlas.trees import (EMPTY, _lower_rightmost_leaf, enumerate_trees,
-                               is_starred, rmlab, tree_nodes, validate_tree)
+                               is_starred, rmlab, validate_tree)
+from test_trees import tree_nodes
 
 
 # -- reference: peel labels n..2 and rank each vacated slot -----------------

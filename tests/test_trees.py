@@ -17,10 +17,27 @@ from snake_atlas.trees import (EMPTY, _lower_rightmost_leaf,
                                nodes_to_tree,
                                psi_cap, psi_cap_inv, psi_circ, psi_circ_inv,
                                psi_star, psi_star_inv, rmlab, snake_to_tree,
-                               tree_from_json, tree_from_word, tree_nodes,
+                               tree_from_json, tree_from_word,
                                tree_to_json, tree_to_snake, tree_to_word_json,
                                validate_tree, word_sort_key)
 from snake_atlas.triangles import arnold_poly, hoffman_P
+
+
+def tree_nodes(tree):
+    """Return (root_label, nodes) with nodes[k] = None | [left, right],
+    child slots holding EMPTY or a label: the node map that
+    ``trees.nodes_to_tree`` reads back."""
+    nodes = {}
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        if len(node) == 1:
+            nodes[node[0]] = None
+            continue
+        k, l, r = node
+        nodes[k] = [l if l == EMPTY else l[0], r if r == EMPTY else r[0]]
+        todo += [c for c in (r, l) if c != EMPTY]
+    return tree[0], nodes
 
 
 def _replace_nth_empty(tree, idx, repl):
