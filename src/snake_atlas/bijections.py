@@ -65,10 +65,11 @@ def _link(prv: list, nxt: list, a: int, s: int) -> None:
 
 class _Leaves:
     """The frontier of phi2: the leaves of a forest under construction in
-    arranged order (``forests._arranged_key``), as a doubly linked list
-    over flat int arrays from a head 0 to a tail 1.  Item ``2v + i`` is
-    the slot (v, i); a labelled leaf v, which has no slots, is ``2v``.
-    ``lone[s]`` marks a singular empty leaf, its node's only empty slot."""
+    arranged order (black roots decreasing, then white roots increasing),
+    as a doubly linked list over flat int arrays from a head 0 to a tail 1.
+    Item ``2v + i`` is the slot (v, i); a labelled leaf v, which has no
+    slots, is ``2v``.  ``lone[s]`` marks a singular empty leaf, its node's
+    only empty slot."""
 
     def __init__(self, n: int):
         self.prv = [0] * (2 * n + 2)
@@ -114,20 +115,6 @@ class _Leaves:
             rank -= lone[q]
             q = nxt[q]
         return q
-
-
-# -- word marks ----------------------------------------------------------
-
-def _type2_das(word):
-    """Double-ascent elements of a signed word padded with -(m+1), m+1."""
-    m = len(word)
-    out = []
-    for i, x in enumerate(word):
-        prev = word[i - 1] if i > 0 else -(m + 1)
-        nxt = word[i + 1] if i < m - 1 else m + 1
-        if prev < x < nxt:
-            out.append(x)
-    return out
 
 
 def _require_family(w, family: str, name: str):

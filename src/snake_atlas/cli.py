@@ -6,7 +6,8 @@ polynomials, optionally their q-analogues), ``bijection`` (apply any of
 the maps to a JSON-encoded object), and ``verify`` (run registered
 checks).  JSON is the machine default; CSV mirrors the printed table
 layouts for eyeballing.  A ``bijection`` input is decoded, not
-validated: the map validates it, once, as it does for API callers.
+validated: the map validates it, once, as it does for API callers.  A
+request is parsed once, by its subcommand's parser (``parse``).
 
 Exit codes: 0 success, 1 verification failure, 2 usage error,
 3 size ceiling exceeded (an enumeration ceiling, or a nested JSON input
@@ -235,14 +236,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=_int_at_least(1), default=None)
     p.set_defaults(fn=_verify)
 
+    parser.commands = sub.choices
     return parser
 
 
-def main(argv=None) -> int:
+def parse(argv):
+    """``build_parser().parse_args(argv)``, with one parse where argv names a
+    subcommand: the top-level parser would only hand it the rest of argv."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
+def main(argv=None) -> int:
+    args = parse(sys.argv[1:] if argv is None else argv)
     if args.command == "family" and (args.anchor is None) != (args.value is None):
-        parser.error("--anchor and --value go together")
+        build_parser().error("--anchor and --value go together")
     try:
         return args.fn(args)
     except LimitError as exc:

@@ -16,9 +16,8 @@ from operator import itemgetter
 
 from .errors import MembershipError, enforce_ceiling
 from .trees import (EMPTY, _keyed_trees, _regraft, _splits, _walk_shape, emp,
-                    inorder_word, is_empty, label_from_json,
-                    node_from_json, rightmost_path, tree_to_json,
-                    validate_tree, word_sort_key)
+                    is_empty, label_from_json, node_from_json,
+                    rightmost_path, tree_to_json, validate_tree)
 
 BLACK = "black"
 WHITE = "white"
@@ -63,19 +62,6 @@ def last_root(forest) -> int:
     return forest[-1][1]
 
 
-def _arranged_key(color, root: int) -> tuple:
-    """Sort key of the arranged order: black roots decreasing, then
-    white roots increasing."""
-    return (color == WHITE, root if color == WHITE else -root)
-
-
-def arranged_components(forest) -> tuple:
-    """Presentation order used by the type-II insertion algorithm:
-    black components left in decreasing root order, then white ones in
-    increasing root order."""
-    return tuple(sorted(forest, key=lambda c: _arranged_key(c[0], c[1])))
-
-
 # -- enumeration --------------------------------------------------------
 
 def enumerate_forests(n: int, *, white_only: bool = False,
@@ -115,15 +101,6 @@ def enumerate_forests(n: int, *, white_only: bool = False,
     if last is not None:
         out = [f for f in out if f[-1][1] == last]
     return out
-
-
-def _component_key(comp) -> tuple:
-    color, root, child = comp
-    return (root, color == WHITE) + word_sort_key(inorder_word(child))
-
-
-def forest_sort_key(forest) -> tuple:
-    return tuple(map(_component_key, forest))
 
 
 # -- rightmost-path cut and its inverse ----------------------------------

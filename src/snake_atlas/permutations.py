@@ -323,28 +323,6 @@ def _member(w, family: str) -> bool:
 
 # -- enumeration -------------------------------------------------------
 
-def all_windows(n: int, *, max_n=None):
-    """Every signed-permutation window of size n, lexicographic order."""
-    enforce_ceiling("signed-permutation enumeration", n, max_n, DEFAULT_PERM_CEILING)
-    out = []
-
-    def extend(prefix, used):
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        for v in range(-n, n + 1):
-            if v == 0 or abs(v) in used:
-                continue
-            prefix.append(v)
-            used.add(abs(v))
-            extend(prefix, used)
-            used.discard(abs(v))
-            prefix.pop()
-
-    extend([], set())
-    return out
-
-
 def _gen_positional(n, unsigned: bool):
     # alternation is a prefix property, so prune position by position
     values = range(1, n + 1) if unsigned else [v for v in range(-n, n + 1) if v]

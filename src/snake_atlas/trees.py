@@ -119,11 +119,6 @@ def in_left_class(tree) -> bool:
     return is_empty(node)
 
 
-def flip(tree):
-    """Mirror the tree horizontally: the tree of the reversed word."""
-    return _from_word(inorder_word(tree)[::-1])
-
-
 # -- inorder-word serialization ----------------------------------------
 
 def inorder_word(tree) -> tuple:
@@ -168,10 +163,6 @@ def tree_from_word(word):
     tree = _from_word(word)
     validate_tree(tree)
     return tree
-
-
-def word_sort_key(word) -> tuple:
-    return tuple(0 if x == EMPTY else x for x in word)
 
 
 # -- mutable node-map form (bijections._forest) -------------------------
@@ -230,9 +221,10 @@ def _left_choices(root: int, rest: tuple, memo: dict) -> list:
 
 
 def _keyed_trees(labels: tuple, memo: dict) -> list:
-    """``(word_sort_key, tree)`` for every complete increasing tree on a label
-    tuple (``"e"`` if empty) in canonical order, memoised in ``memo`` by label
-    tuple.  A tree's key is key(left) + (root,) + key(right), and (0,) for "e"."""
+    """``(key, tree)`` for every complete increasing tree on a label tuple
+    (``"e"`` if empty) in canonical order, memoised in ``memo`` by label
+    tuple.  A tree's key is its inorder word with "e" read as 0:
+    key(left) + (root,) + key(right), and (0,) for "e"."""
     found = memo.get(labels)
     if found is not None:
         return found

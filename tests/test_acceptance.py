@@ -15,9 +15,9 @@ from snake_atlas.bijections import (phi1, phi1_b, phi1_d, phi1_d_inv,
                                     phi2_d_inv, phi2_inv, zeta1, zeta1_inv,
                                     zeta2, zeta2_inv)
 from snake_atlas.forests import (emp_forest, enumerate_forests,
-                                 forest_sort_key, forest_to_tree,
+                                 forest_to_tree,
                                  tree_to_forest)
-from snake_atlas.permutations import (all_windows, enumerate_family, gae,
+from snake_atlas.permutations import (enumerate_family, gae,
                                       is_beta_snake, is_gamma_snake,
                                       is_member, npk, nva, subword)
 from snake_atlas.polynomials import LaurentPoly
@@ -28,10 +28,13 @@ from snake_atlas.qcalculus import (BiPoly, QPoly, forest_step_weights, op_D,
 from snake_atlas.trees import (emp, enumerate_trees, inorder_word, is_starred,
                                psi_cap, psi_cap_inv, psi_circ, psi_circ_inv,
                                psi_star, psi_star_inv, rmlab, snake_to_tree,
-                               tree_to_snake, word_sort_key)
+                               tree_to_snake)
 from snake_atlas.triangles import (arnold, arnold_poly, entringer,
                                    gamma_arrays, hoffman_P, hoffman_Q,
                                    hoffman_R, hoffman_triangle_identity)
+from test_forests import forest_sort_key
+from test_permutations import all_windows
+from test_trees import word_sort_key
 
 
 @contextmanager

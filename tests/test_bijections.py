@@ -8,10 +8,12 @@ from snake_atlas.bijections import (phi1, phi1_b, phi1_b_inv, phi1_d,
                                     zeta1, zeta1_inv, zeta2, zeta2_inv)
 from snake_atlas.errors import MembershipError
 from snake_atlas.forests import (BLACK, WHITE, emp_forest, enumerate_forests,
-                                 forest_sort_key, is_all_white, last_root)
+                                 is_all_white, last_root)
 from snake_atlas.permutations import enumerate_family, gae, is_member, npk, nva
 from snake_atlas.trees import (EMPTY, emp, enumerate_trees, inorder_word,
-                               is_starred, rmlab, word_sort_key)
+                               is_starred, rmlab)
+from test_forests import forest_sort_key
+from test_trees import word_sort_key
 
 
 def keyset(ts):

@@ -23,24 +23,38 @@ import random
 import pytest
 
 from snake_atlas import fixtures as fx
-from snake_atlas.bijections import (_type2_das, phi1, phi1_b,
+from snake_atlas.bijections import (phi1, phi1_b,
                                     phi1_d, phi1_inv, phi2, phi2_b, phi2_d,
                                     phi2_inv, zeta1, zeta1_inv, zeta2,
                                     zeta2_inv, _augmenting_positions, _slide,
                                     _unslide)
 from snake_atlas.errors import MembershipError
-from snake_atlas.forests import (BLACK, WHITE, _arranged_key,
+from snake_atlas.forests import (BLACK, WHITE,
                                  _tree_to_forest, forest_to_tree,
                                  validate_forest)
 from snake_atlas.permutations import (_rl_min_positions, _simsun_levels_ok,
-                                      all_windows, augmenting_elements,
+                                      augmenting_elements,
                                       enumerate_family, expand_first_entry,
                                       expand_last_entry, gae, is_beta_snake,
                                       is_member, shrink_first_entry,
                                       shrink_last_entry, subword)
 from snake_atlas.trees import (EMPTY, _raise_rightmost_leaf, enumerate_trees,
                                nodes_to_tree, snake_to_tree, tree_to_snake)
+from test_forests import _arranged_key
+from test_permutations import all_windows
 from test_trees import tree_nodes
+
+
+def _type2_das(word):
+    """Double-ascent elements of a signed word padded with -(m+1), m+1."""
+    m = len(word)
+    out = []
+    for i, x in enumerate(word):
+        prev = word[i - 1] if i > 0 else -(m + 1)
+        nxt = word[i + 1] if i < m - 1 else m + 1
+        if prev < x < nxt:
+            out.append(x)
+    return out
 
 
 # -- reference: the forest builder with its root slots kept apart -----------

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import re
@@ -243,6 +244,32 @@ def test_shared_parser_matches_a_fresh_parser_per_call(capsys, monkeypatch):
     fresh = _run_sequence(capsys)
     assert shared == fresh
     assert [r[0] for r in shared] == [0, 0, 0, 0, 2, 0, 0, 2, 0]
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name[:-3], ROOT / "scripts" / name)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+def _parsed(parse, argv, capsys):
+    try:
+        got = vars(parse(list(argv)))
+    except SystemExit as exc:
+        got = exc.code
+    out = capsys.readouterr()
+    return got, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", load_script("cli_digest.py").PARSE_CASES,
+                         ids=lambda argv: " ".join(argv) or "no-argv")
+def test_one_parse_pass_matches_parse_args(capsys, argv):
+    """``cli.parse`` hands argv naming a subcommand to that subcommand's
+    parser; every request parses as ``parse_args`` parses it, to the same
+    namespace or to the same exit code, help and message."""
+    reference = _parsed(lambda a: cli.build_parser().parse_args(a), argv, capsys)
+    assert _parsed(cli.parse, argv, capsys) == reference
 
 
 # stdout and exit code of every example in the README "Command line"

@@ -14,12 +14,12 @@ from snake_atlas.bijections import (phi1, phi1_b, phi1_b_inv, phi1_d,
                                     zeta1, zeta1_inv, zeta2, zeta2_inv)
 from snake_atlas.forests import (BLACK, WHITE, forest_to_tree, tree_to_forest,
                                  validate_forest)
-from snake_atlas.trees import (EMPTY, flip, nodes_to_tree, psi_cap,
+from snake_atlas.trees import (EMPTY, nodes_to_tree, psi_cap,
                                psi_cap_inv, psi_circ, psi_circ_inv, psi_star,
                                psi_star_inv, snake_to_tree, tree_from_word,
                                tree_to_snake, validate_tree)
 from snake_atlas.trees import inorder_word as word
-from test_trees import tree_nodes
+from test_trees import flip, tree_nodes
 
 N = 2000
 

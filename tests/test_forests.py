@@ -4,15 +4,41 @@ import pytest
 from snake_atlas import fixtures as fx
 from snake_atlas.bijections import phi1_inv, phi2_inv
 from snake_atlas.errors import LimitError, MembershipError
-from snake_atlas.forests import (BLACK, WHITE, arranged_components, emp_forest,
+from snake_atlas.forests import (BLACK, WHITE, emp_forest,
                                  enumerate_forests, forest_from_json,
-                                 forest_sort_key, forest_to_json,
+                                 forest_to_json,
                                  forest_to_tree, last_root,
                                  tree_to_forest, validate_forest)
 from snake_atlas.polynomials import LaurentPoly
 from snake_atlas.qcalculus import weight_forest
-from snake_atlas.trees import EMPTY, emp, enumerate_trees, is_empty, is_leaf, rmlab
+from snake_atlas.trees import (EMPTY, emp, enumerate_trees, inorder_word,
+                               is_empty, is_leaf, rmlab)
 from snake_atlas.triangles import arnold_poly, hoffman_Q, hoffman_R
+from test_trees import word_sort_key
+
+
+def _arranged_key(color, root: int) -> tuple:
+    """Sort key of the arranged order: black roots decreasing, then
+    white roots increasing."""
+    return (color == WHITE, root if color == WHITE else -root)
+
+
+def arranged_components(forest) -> tuple:
+    """Presentation order used by the type-II insertion algorithm:
+    black components left in decreasing root order, then white ones in
+    increasing root order."""
+    return tuple(sorted(forest, key=lambda c: _arranged_key(c[0], c[1])))
+
+
+def _component_key(comp) -> tuple:
+    color, root, child = comp
+    return (root, color == WHITE) + word_sort_key(inorder_word(child))
+
+
+def forest_sort_key(forest) -> tuple:
+    """The canonical order of forests: component by component, root, then
+    colour (black first), then the child's inorder word."""
+    return tuple(map(_component_key, forest))
 
 
 def emp_sum(forests):

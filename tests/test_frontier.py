@@ -13,16 +13,17 @@ import random
 
 import pytest
 
-from test_chain_pass import grown_forest
+from test_chain_pass import _type2_das, grown_forest
 
-from snake_atlas.bijections import (_type2_das, phi1_b_inv, phi1_d_inv,
+from snake_atlas.bijections import (phi1_b_inv, phi1_d_inv,
                                     phi1_inv, phi2_b_inv, phi2_d_inv, phi2_inv)
 from snake_atlas.errors import MembershipError
-from snake_atlas.forests import (BLACK, WHITE, _arranged_key, _tree_to_forest,
+from snake_atlas.forests import (BLACK, WHITE, _tree_to_forest,
                                  enumerate_forests, validate_forest)
 from snake_atlas.permutations import expand_first_entry, expand_last_entry, is_member
 from snake_atlas.trees import (EMPTY, _lower_rightmost_leaf, enumerate_trees,
                                is_starred, rmlab, validate_tree)
+from test_forests import _arranged_key
 from test_trees import tree_nodes
 
 

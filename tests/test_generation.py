@@ -17,15 +17,17 @@ from itertools import combinations, product
 
 import pytest
 
-from snake_atlas.forests import (BLACK, WHITE, emp_forest, enumerate_forests,
-                                 forest_sort_key)
-from snake_atlas.permutations import (FAMILY_TAGS, all_windows,
+from snake_atlas.forests import (BLACK, WHITE, emp_forest, enumerate_forests)
+from snake_atlas.permutations import (FAMILY_TAGS,
                                       augmenting_elements, enumerate_family,
                                       is_member)
 from snake_atlas.qcalculus import (BiPoly, weight_forest, weight_tree,
                                    weighted_sum_forests, weighted_sum_trees)
 from snake_atlas.trees import (EMPTY, _keyed_trees, emp, enumerate_trees,
-                               inorder_word, is_starred, rmlab, word_sort_key)
+                               inorder_word, is_starred, rmlab)
+from test_forests import forest_sort_key
+from test_permutations import all_windows
+from test_trees import word_sort_key
 
 
 def _gae_or_zero(w):

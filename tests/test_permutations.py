@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from snake_atlas import fixtures as fx
 from snake_atlas.bijections import phi1, phi2, zeta1, zeta1_inv, zeta2_inv
-from snake_atlas.errors import LimitError, MembershipError, SettingError
+from snake_atlas.errors import (LimitError, MembershipError, SettingError,
+                                enforce_ceiling)
 from snake_atlas.forests import enumerate_forests
-from snake_atlas.permutations import (FAMILY_TAGS, _andre_levels_ok,
-                                      _simsun_levels_ok, all_windows,
+from snake_atlas.permutations import (DEFAULT_PERM_CEILING, FAMILY_TAGS,
+                                      _andre_levels_ok, _simsun_levels_ok,
                                       augmenting_elements, check_window,
                                       enumerate_family, expand_first_entry,
                                       expand_last_entry, gae, is_beta_snake,
@@ -18,6 +19,28 @@ from snake_atlas.permutations import (FAMILY_TAGS, _andre_levels_ok,
                                       shrink_first_entry, shrink_last_entry,
                                       subword)
 from snake_atlas.trees import enumerate_trees
+
+
+def all_windows(n: int, *, max_n=None):
+    """Every signed-permutation window of size n, lexicographic order."""
+    enforce_ceiling("signed-permutation enumeration", n, max_n, DEFAULT_PERM_CEILING)
+    out = []
+
+    def extend(prefix, used):
+        if len(prefix) == n:
+            out.append(tuple(prefix))
+            return
+        for v in range(-n, n + 1):
+            if v == 0 or abs(v) in used:
+                continue
+            prefix.append(v)
+            used.add(abs(v))
+            extend(prefix, used)
+            used.discard(abs(v))
+            prefix.pop()
+
+    extend([], set())
+    return out
 
 
 @st.composite

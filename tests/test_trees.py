@@ -11,16 +11,26 @@ from snake_atlas import fixtures as fx
 from snake_atlas.errors import LimitError, MembershipError
 from snake_atlas.permutations import enumerate_family
 from snake_atlas.polynomials import LaurentPoly
-from snake_atlas.trees import (EMPTY, _lower_rightmost_leaf,
+from snake_atlas.trees import (EMPTY, _from_word, _lower_rightmost_leaf,
                                _raise_rightmost_leaf, emp, enumerate_trees,
-                               flip, in_left_class, inorder_word, is_starred,
+                               in_left_class, inorder_word, is_starred,
                                nodes_to_tree,
                                psi_cap, psi_cap_inv, psi_circ, psi_circ_inv,
                                psi_star, psi_star_inv, rmlab, snake_to_tree,
                                tree_from_json, tree_from_word,
                                tree_to_json, tree_to_snake, tree_to_word_json,
-                               validate_tree, word_sort_key)
+                               validate_tree)
 from snake_atlas.triangles import arnold_poly, hoffman_P
+
+
+def flip(tree):
+    """Mirror the tree horizontally: the tree of the reversed word."""
+    return _from_word(inorder_word(tree)[::-1])
+
+
+def word_sort_key(word) -> tuple:
+    """An inorder word with ``"e"`` read as 0: the canonical order of trees."""
+    return tuple(0 if x == EMPTY else x for x in word)
 
 
 def tree_nodes(tree):
