@@ -38,12 +38,10 @@ from math import inf
 from .errors import MembershipError
 from .forests import (BLACK, WHITE, _forest_to_tree, _tree_to_forest,
                       validate_forest)
-from .permutations import (_D_REFINEMENTS, check_window,
-                           expand_first_entry, expand_last_entry,
-                           shrink_first_entry, shrink_last_entry,
-                           _cond_b_type1, _cond_b_type2, _first_bad_level,
-                           _linked, _member, _rl_min_positions,
-                           _simsun_levels_ok)
+from .permutations import (_FAMILIES, check_window, expand_first_entry,
+                           expand_last_entry, _d_split, _first_bad_level,
+                           _linked, _member, _minima_positive,
+                           _rl_min_positions)
 from .trees import (EMPTY, _lower_rightmost_leaf, _raise_rightmost_leaf,
                     _rightmost_end, _subtrees, validate_tree)
 
@@ -119,8 +117,7 @@ class _Leaves:
 
 def _require_family(w, family: str, name: str):
     if not _member(w, family):
-        signed = family.startswith("rsii") or family.startswith("adii")
-        k = _simsun_levels_ok(w, signed=signed)
+        k = _first_bad_level(w, _FAMILIES[family].levels[0], False)
         raise MembershipError(f"{name}: input not in {family}", step=k)
 
 
@@ -140,30 +137,25 @@ def _member_chain(w, family: str, message: str):
     restriction and j's links name its neighbours in the level-j one."""
     n = len(w)
     chain = prv, nxt, _ = _linked(w)
-    signed = family.startswith("rsii")
-    k = _first_bad_level(w, signed, False, chain)
-    if family.endswith("-b"):
-        if k is not None or not (_cond_b_type2 if signed else _cond_b_type1)(w):
-            raise MembershipError(message)
-    elif k is not None:
-        raise MembershipError(message, step=k)
+    spec = _FAMILIES[family]
+    k = _first_bad_level(w, *spec.levels, chain)
+    if k is not None or spec.minima and not _minima_positive(w, spec.minima):
+        raise MembershipError(message, step=None if spec.minima else k)
     nxt[0], prv[n + 1] = n + 1, 0
     return chain
 
 
-def _d_member_chain(w, family: str, name: str, anchor: int):
+def _d_member_chain(w, family: str, name: str):
     """(k, u, chain) of a member w of size >= 2 of ``family`` (rsi-d or
-    rsii-d), else ``name``'s MembershipError.  w is one exactly when its
-    entry at ``anchor`` (-1 or 0) is some -k, the window u it shrinks to
-    is in the -b family, and bound(u) < k
-    (``permutations._D_REFINEMENTS``); chain is u's ``_member_chain``."""
+    rsii-d), else ``name``'s MembershipError: ``permutations._d_split``
+    gives k and u, and chain is u's ``_member_chain`` in the -b family."""
     message = f"{name}: input not in {family} (size >= 2)"
-    b_family, _, bound = _D_REFINEMENTS[family]
-    k = -w[anchor]
-    u = (shrink_last_entry if anchor else shrink_first_entry)(w)
-    if len(w) < 2 or k < 0 or bound(u) >= k:
+    d = _FAMILIES[family].d
+    split = _d_split(w, d)
+    if split is None:
         raise MembershipError(message)
-    return k, u, _member_chain(u, b_family, message)
+    k, u = split
+    return k, u, _member_chain(u, d[0], message)
 
 
 def _hooks(forest):
@@ -429,7 +421,7 @@ def _phi1_b_inv(tree):
 
 
 def phi1_d(window):
-    k, u, chain = _d_member_chain(check_window(window), "rsi-d", "phi1_d", -1)
+    k, u, chain = _d_member_chain(check_window(window), "rsi-d", "phi1_d")
     return _raise_rightmost_leaf(_forest_to_tree(_phi1(u, chain)), k)
 
 
@@ -461,7 +453,7 @@ def _phi2_b_inv(tree):
 
 
 def phi2_d(window):
-    k, u, chain = _d_member_chain(check_window(window), "rsii-d", "phi2_d", 0)
+    k, u, chain = _d_member_chain(check_window(window), "rsii-d", "phi2_d")
     return _raise_rightmost_leaf(_forest_to_tree(_phi2(u, chain)), k)
 
 

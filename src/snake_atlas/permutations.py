@@ -14,28 +14,30 @@ Families
                       double descents
 ``adi`` / ``adii``    as above plus "ends with an ascent" at every
                       restriction level, and the entry +1 present
-``*-b`` / ``*-d``     refinements pinning the signs at right-to-left
-                      (type I) or left-to-right (type II) minima
+``*-b``               the minima of |s| read from the end (type I:
+                      right to left) or the front (type II) are positive
+``*-d``               s ends (type I) or starts (type II) with some -k,
+                      and dropping it leaves (after closing the value
+                      gap) a ``*-b`` member u with bound(u) < k: u's
+                      last entry, or its gae for rsii-d; at n = 1, (-1,)
+                      unless the family needs the entry +1
 ``alternating-unsigned``, ``simsun-unsigned``, ``andre-unsigned``
                       the classical all-positive versions
 
 Restriction convention: subword(s, k) keeps the entries of absolute
 value <= k in window order.
+
+One table, ``_FAMILIES``, holds these rules, one entry per family;
+membership, enumeration and the bijections' domain checks all read it.
 """
 from __future__ import annotations
+
+from typing import Callable, NamedTuple
 
 from .errors import enforce_ceiling
 
 DEFAULT_PERM_CEILING = 8
 
-FAMILY_TAGS = (
-    "snakes", "gamma-snakes",
-    "rsi", "rsi-b", "rsi-d",
-    "rsii", "rsii-b", "rsii-d",
-    "adi", "adi-b", "adi-d",
-    "adii", "adii-b", "adii-d",
-    "alternating-unsigned", "simsun-unsigned", "andre-unsigned",
-)
 
 def check_window(window) -> tuple[int, ...]:
     """Validate a signed-permutation window and return it as a tuple of
@@ -65,8 +67,7 @@ def subword(window, k: int) -> tuple[int, ...]:
 
 
 def is_beta_snake(window) -> bool:
-    w = check_window(window)
-    return _alternates(w)
+    return _member(check_window(window), "snakes")
 
 
 def _alternates(w) -> bool:
@@ -81,8 +82,7 @@ def _alternates(w) -> bool:
 
 
 def is_gamma_snake(window) -> bool:
-    w = check_window(window)
-    return _alternates(w) and (-1) ** len(w) * w[-1] < 0
+    return _member(check_window(window), "gamma-snakes")
 
 
 def npk(window) -> int:
@@ -174,13 +174,12 @@ def _first_bad_level(w, signed: bool, need_ascent: bool, links=None) -> int | No
     return first
 
 
-def _simsun_levels_ok(w, signed: bool) -> int | None:
-    """First level 1..n whose restriction has a double descent, else None."""
-    return _first_bad_level(w, signed, need_ascent=False)
-
-
-def _andre_levels_ok(w, signed: bool) -> bool:
-    return _first_bad_level(w, signed, need_ascent=True) is None
+def _minima_positive(w, end: str) -> bool:
+    """The minima of |w| read from ``end`` are positive entries: the
+    right-to-left minima for "end", and the same rule on the reversed
+    window for "front"."""
+    v = w if end == "end" else w[::-1]
+    return all(v[i] > 0 for i in _rl_min_positions([abs(x) for x in v]))
 
 
 def _rl_min_positions(absvals) -> list[int]:
@@ -191,53 +190,6 @@ def _rl_min_positions(absvals) -> list[int]:
             m = absvals[i]
             out.append(i)
     return out[::-1]
-
-
-def _lr_min_positions(absvals) -> list[int]:
-    out = []
-    m = None
-    for i, a in enumerate(absvals):
-        if m is None or a < m:
-            m = a
-            out.append(i)
-    return out
-
-
-def _cond_b_type1(w) -> bool:
-    # right-to-left minima of |w| must carry positive entries
-    a = [abs(x) for x in w]
-    return all(w[i] > 0 for i in _rl_min_positions(a))
-
-
-def _cond_d_type1(w) -> bool:
-    # last entry negative and heavier than its (signed) predecessor;
-    # right-to-left minima of the first n-1 absolute values positive.
-    n = len(w)
-    if w[-1] >= 0:
-        return False
-    if n >= 2 and not abs(w[-1]) > w[-2]:
-        return False
-    a = [abs(x) for x in w[:-1]]
-    return all(w[i] > 0 for i in _rl_min_positions(a))
-
-
-def _cond_b_type2(w) -> bool:
-    a = [abs(x) for x in w]
-    return all(w[i] > 0 for i in _lr_min_positions(a))
-
-
-def _cond_d_type2(w) -> bool:
-    if w[0] >= 0 or abs(w[0]) <= _gae_or_zero(w):
-        return False
-    a = [abs(x) for x in w[1:]]
-    return all(w[i + 1] > 0 for i in _lr_min_positions(a))
-
-
-def _cond_d_adii(w) -> bool:
-    if w[0] >= 0 or not abs(w[0]) > w[-1]:
-        return False
-    a = [abs(x) for x in w[1:]]
-    return all(w[i + 1] > 0 for i in _lr_min_positions(a))
 
 
 def shrink_last_entry(w) -> tuple[int, ...]:
@@ -262,6 +214,62 @@ def expand_first_entry(w, k: int) -> tuple[int, ...]:
     return (-k,) + tuple(x if abs(x) < k else (x + 1 if x > 0 else x - 1) for x in w)
 
 
+def _d_split(w, d):
+    """(k, u) when w (size >= 2) has some -k at the anchored end of ``d``
+    (a ``_Family.d``) and shrinks there to a window u with bound(u) < k,
+    else None; w is then in the -d family exactly when u is in the -b
+    family."""
+    _, end, bound = d
+    if len(w) < 2:
+        return None
+    k = -w[-1 if end == "end" else 0]
+    u = (shrink_last_entry if end == "end" else shrink_first_entry)(w)
+    return (k, u) if k > 0 and bound(u) < k else None
+
+
+class _Family(NamedTuple):
+    """The rules of one family; a window is a member when all hold.
+
+    ``levels`` is (signed, need_ascent) for ``_first_bad_level``, or None
+    for s1 > s2 < s3 > ...; ``minima`` is the end ("end", type I, or
+    "front", type II) that ``_minima_positive`` reads from.  A -d family's
+    ``d`` is (-b family, anchored end, bound) for ``_d_split``: its
+    members are that decomposition, which implies the other rules, and
+    at n = 1 the window (-1,) unless ``plus_one``."""
+    levels: tuple[bool, bool] | None
+    plus_one: bool = False  # the entry +1 is present
+    positive: bool = False  # every entry is positive
+    minima: str | None = None
+    gamma: bool = False  # (-1)^n * s_n < 0
+    d: tuple[str, str, Callable] | None = None
+
+
+def _last(u) -> int:
+    return u[-1]
+
+
+_FAMILIES = {
+    "snakes": _Family(None),
+    "gamma-snakes": _Family(None, gamma=True),
+    "rsi": _Family((False, False)),
+    "rsi-b": _Family((False, False), minima="end"),
+    "rsi-d": _Family((False, False), d=("rsi-b", "end", _last)),
+    "rsii": _Family((True, False)),
+    "rsii-b": _Family((True, False), minima="front"),
+    "rsii-d": _Family((True, False), d=("rsii-b", "front", _gae_or_zero)),
+    "adi": _Family((False, True), plus_one=True),
+    "adi-b": _Family((False, True), plus_one=True, minima="end"),
+    "adi-d": _Family((False, True), plus_one=True, d=("adi-b", "end", _last)),
+    "adii": _Family((True, True), plus_one=True),
+    "adii-b": _Family((True, True), plus_one=True, minima="front"),
+    "adii-d": _Family((True, True), plus_one=True, d=("adii-b", "front", _last)),
+    "alternating-unsigned": _Family(None, positive=True),
+    "simsun-unsigned": _Family((False, False), positive=True),
+    "andre-unsigned": _Family((False, True), positive=True),
+}
+FAMILY_TAGS = tuple(_FAMILIES)
+
+
 def is_member(window, family: str) -> bool:
     """Membership test for any of the FAMILY_TAGS families."""
     return _member(check_window(window), family)
@@ -269,56 +277,23 @@ def is_member(window, family: str) -> bool:
 
 def _member(w, family: str) -> bool:
     """``is_member`` for a window that ``check_window`` already returned."""
-    if family not in FAMILY_TAGS:
+    spec = _FAMILIES.get(family)
+    if spec is None:
         raise ValueError(f"unknown family {family!r}")
-    all_positive = all(x > 0 for x in w)
-    if family == "snakes":
-        return _alternates(w)
-    if family == "gamma-snakes":
-        return _alternates(w) and (-1) ** len(w) * w[-1] < 0
-    if family == "alternating-unsigned":
-        return all_positive and _alternates(w)
-    if family == "simsun-unsigned":
-        return all_positive and _simsun_levels_ok(w, signed=False) is None
-    if family == "andre-unsigned":
-        return all_positive and _andre_levels_ok(w, signed=False)
-    if family.startswith("rsi-") or family == "rsi":
-        if _simsun_levels_ok(w, signed=False) is not None:
-            return False
-        if family == "rsi-b":
-            return _cond_b_type1(w)
-        if family == "rsi-d":
-            return _cond_d_type1(w)
-        return True
-    if family.startswith("rsii-") or family == "rsii":
-        if _simsun_levels_ok(w, signed=True) is not None:
-            return False
-        if family == "rsii-b":
-            return _cond_b_type2(w)
-        if family == "rsii-d":
-            return _cond_d_type2(w)
-        return True
-    if family.startswith("adi-") or family == "adi":
-        if 1 not in w or not _andre_levels_ok(w, signed=False):
-            return False
-        if family == "adi-b":
-            return _cond_b_type1(w)
-        if family == "adi-d":
-            # The suffix-minima reading over-admits here; the family is
-            # the pullback of adi-b under the last-entry shrinking map,
-            # which is what the index-shifting bijection requires.
-            if len(w) < 2 or w[-1] >= 0 or not abs(w[-1]) > w[-2]:
-                return False
-            return _member(shrink_last_entry(w), "adi-b")
-        return True
-    # adii family group
-    if 1 not in w or not _andre_levels_ok(w, signed=True):
+    if spec.d:
+        if len(w) == 1:
+            return w == (-1,) and not spec.plus_one
+        split = _d_split(w, spec.d)
+        return split is not None and _member(split[1], spec.d[0])
+    if spec.positive and min(w) < 0 or spec.plus_one and 1 not in w:
         return False
-    if family == "adii-b":
-        return _cond_b_type2(w)
-    if family == "adii-d":
-        return _cond_d_adii(w)
-    return True
+    if spec.gamma and (-1) ** len(w) * w[-1] >= 0:
+        return False
+    if spec.minima and not _minima_positive(w, spec.minima):
+        return False
+    if spec.levels is None:
+        return _alternates(w)
+    return _first_bad_level(w, *spec.levels) is None
 
 
 # -- enumeration -------------------------------------------------------
@@ -334,24 +309,24 @@ def _gen_positional(n, unsigned: bool):
     return words
 
 
-def _gen_by_insertion(n, *, signed_dd: bool, need_ascent: bool, force_positive: bool = False,
-                      force_plus_one: bool = False, positive_at=None):
+def _gen_by_insertion(n, spec: _Family):
     """Grow windows by inserting values 1..n into the restriction chain.
 
     Every window is reached exactly once (the chain of restrictions is
     unique), and the level-k restriction is final once built, so the
     no-double-descent and ends-with-ascent requirements prune exactly.
     A value is a left-to-right (right-to-left) minimum of |w| exactly when
-    it was inserted at the front (end), so ``positive_at`` = "front"
-    ("end") signing those insertions positive is the ``-b`` sign rule.
+    it was inserted at the front (end), so signing the insertions at
+    ``spec.minima``'s end positive is the ``-b`` sign rule.
     """
+    signed_dd, need_ascent = spec.levels
     words = [()]
     for v in range(1, n + 1):
         nxt = []
         for word in words:
             m = len(word)
             view = word if signed_dd else tuple(abs(x) for x in word)
-            pinned = {"front": 0, "end": m}.get(positive_at)
+            pinned = {"front": 0, "end": m}.get(spec.minima)
             for pos in range(m + 1):
                 # The new entry is the view's largest (+v, or -v read unsigned)
                 # or smallest (-v, signed).  A new double descent needs a descent
@@ -364,43 +339,22 @@ def _gen_by_insertion(n, *, signed_dd: bool, need_ascent: bool, force_positive: 
                                 or need_ascent and 0 < pos == m) if signed_dd else big_ok
                 if big_ok:
                     nxt.append(word[:pos] + (v,) + word[pos:])
-                if small_ok and not (force_positive or pos == pinned or (v == 1 and force_plus_one)):
+                if small_ok and not (spec.positive or pos == pinned or (v == 1 and spec.plus_one)):
                     nxt.append(word[:pos] + (-v,) + word[pos:])
         words = nxt
     return words
 
 
-_INSERTION_FAMILIES = {
-    "rsi": dict(signed_dd=False, need_ascent=False),
-    "rsi-b": dict(signed_dd=False, need_ascent=False, positive_at="end"),
-    "rsii": dict(signed_dd=True, need_ascent=False),
-    "rsii-b": dict(signed_dd=True, need_ascent=False, positive_at="front"),
-    "adi": dict(signed_dd=False, need_ascent=True, force_plus_one=True),
-    "adi-b": dict(signed_dd=False, need_ascent=True, force_plus_one=True, positive_at="end"),
-    "adii": dict(signed_dd=True, need_ascent=True, force_plus_one=True),
-    "adii-b": dict(signed_dd=True, need_ascent=True, force_plus_one=True, positive_at="front"),
-    "simsun-unsigned": dict(signed_dd=False, need_ascent=False, force_positive=True),
-    "andre-unsigned": dict(signed_dd=False, need_ascent=True, force_positive=True),
-}
-
-# -d refinement -> (-b family, expand map, bound): expand(u, k) over the
-# size-(n-1) -b members u and bound(u) < k <= n is the -d family, once each;
-# bound(u) is the entry (rsii-d: the gae) that the new entry -k must outweigh.
-_D_REFINEMENTS = {
-    "rsi-d": ("rsi-b", expand_last_entry, lambda u: u[-1]),
-    "adi-d": ("adi-b", expand_last_entry, lambda u: u[-1]),
-    "rsii-d": ("rsii-b", expand_first_entry, _gae_or_zero),
-    "adii-d": ("adii-b", expand_first_entry, lambda u: u[-1]),
-}
-
-
-def _gen_d_refinement(family, n):
+def _gen_d_refinement(spec: _Family, n):
+    """expand(u, k) over the size-(n-1) -b members u and bound(u) < k <= n:
+    the -d family, once each, as ``_d_split`` reads it."""
+    b_family, end, bound = spec.d
     if n == 1:
-        # (-1,) is the only candidate; the Andre families need the entry +1
-        return [(-1,)] if family in ("rsi-d", "rsii-d") else []
-    b_family, expand, bound = _D_REFINEMENTS[family]
+        # (-1,) is the only candidate; a family that needs +1 has none
+        return [] if spec.plus_one else [(-1,)]
+    expand = expand_last_entry if end == "end" else expand_first_entry
     return [expand(u, k)
-            for u in _gen_by_insertion(n - 1, **_INSERTION_FAMILIES[b_family])
+            for u in _gen_by_insertion(n - 1, _FAMILIES[b_family])
             for k in range(bound(u) + 1, n + 1)]
 
 
@@ -411,24 +365,26 @@ def enumerate_family(family: str, n: int, constraint=None, *, max_n=None):
     of "first", "last", "gae", filtering on the first entry, last
     entry, or greatest augmenting element.
     """
-    if family not in FAMILY_TAGS:
+    spec = _FAMILIES.get(family)
+    if spec is None:
         raise ValueError(f"unknown family {family!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
     enforce_ceiling(f"family {family!r} enumeration", n, max_n, DEFAULT_PERM_CEILING)
-
-    if family in ("snakes", "gamma-snakes", "alternating-unsigned"):
-        members = _gen_positional(n, unsigned=family == "alternating-unsigned")
-        if family == "gamma-snakes":
-            members = [w for w in members if (-1) ** n * w[-1] < 0]
-    elif family in _D_REFINEMENTS:
-        members = _gen_d_refinement(family, n)
-    else:
-        members = _gen_by_insertion(n, **_INSERTION_FAMILIES[family])
     if constraint is not None:
         anchor, value = constraint
-        key = {"first": lambda w: w[0], "last": lambda w: w[-1], "gae": _gae_or_zero}.get(anchor)
+        key = {"first": lambda w: w[0], "last": _last, "gae": _gae_or_zero}.get(anchor)
         if key is None:
             raise ValueError(f"unknown anchor {anchor!r}")
+
+    if spec.d:
+        members = _gen_d_refinement(spec, n)
+    elif spec.levels:
+        members = _gen_by_insertion(n, spec)
+    else:
+        members = _gen_positional(n, unsigned=spec.positive)
+        if spec.gamma:
+            members = [w for w in members if (-1) ** n * w[-1] < 0]
+    if constraint is not None:
         members = [w for w in members if key(w) == value]
     return sorted(members)

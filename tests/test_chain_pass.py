@@ -32,7 +32,7 @@ from snake_atlas.errors import MembershipError
 from snake_atlas.forests import (BLACK, WHITE,
                                  _tree_to_forest, forest_to_tree,
                                  validate_forest)
-from snake_atlas.permutations import (_rl_min_positions, _simsun_levels_ok,
+from snake_atlas.permutations import (_rl_min_positions,
                                       augmenting_elements,
                                       enumerate_family, expand_first_entry,
                                       expand_last_entry, gae, is_beta_snake,
@@ -41,7 +41,7 @@ from snake_atlas.permutations import (_rl_min_positions, _simsun_levels_ok,
 from snake_atlas.trees import (EMPTY, _raise_rightmost_leaf, enumerate_trees,
                                nodes_to_tree, snake_to_tree, tree_to_snake)
 from test_forests import _arranged_key
-from test_permutations import all_windows
+from test_permutations import _simsun_levels_ok, all_windows
 from test_trees import tree_nodes
 
 

@@ -105,6 +105,20 @@ def test_exit_codes(capsys):
     assert exc.value.code == 2
 
 
+def test_a_dash_payload_reaches_the_decoder_only_as_input_equals(capsys):
+    # argparse reads "-1e-05" after "--input" as an option, not a value
+    with pytest.raises(SystemExit) as exc:
+        main(["bijection", "--name", "zeta2", "--input", "-1e-05"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.startswith("usage: ")
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        "snake-atlas bijection: error: argument --input: expected one argument"]
+    code, out, err = run(capsys, "bijection", "--name", "zeta2", "--input=-1e-05")
+    assert code == 4 and out == ""
+    assert err == "invalid input: expected a JSON array of nonzero integers\n"
+
+
 def test_verify_single_check(capsys):
     code, out, _ = run(capsys, "verify", "--check", "eq-1", "--n-max", "6")
     assert code == 0

@@ -3,7 +3,10 @@
 enumerate_family never calls is_member; these tests compare it with the
 brute-force reading of each family (every window, filtered by is_member)
 for every family and every anchor value, and, one size further, the
--b / -d refinements with their base family filtered by is_member.
+-b / -d refinements with their base family filtered by is_member.  Both
+read one family table, so is_member is in turn compared with the frozen
+membership test ref_member (tests/test_permutations.py): every family at
+n <= 5, the -b / -d refinements at n = 6.
 
 enumerate_forests and enumerate_trees sort nothing globally: each joins
 memoised lists that come out of generation in canonical order.  They are
@@ -26,7 +29,7 @@ from snake_atlas.qcalculus import (BiPoly, weight_forest, weight_tree,
 from snake_atlas.trees import (EMPTY, _keyed_trees, emp, enumerate_trees,
                                inorder_word, is_starred, rmlab)
 from test_forests import forest_sort_key
-from test_permutations import all_windows
+from test_permutations import all_windows, ref_member
 from test_trees import word_sort_key
 
 
@@ -74,6 +77,23 @@ def test_refinements_match_filtered_base_at_n7(family):
     base = _base_at_n7(family.split("-")[0])
     assert enumerate_family(family, 7) == [w for w in base if is_member(w, family)]
 
+
+@lru_cache(maxsize=None)
+def _windows(n):
+    return all_windows(n)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_is_member_matches_the_frozen_reference(n):
+    windows = _windows(n)
+    for family in FAMILY_TAGS:
+        assert _oracle(family, n) == tuple(w for w in windows if ref_member(w, family)), family
+
+
+@pytest.mark.parametrize("family", [f for f in FAMILY_TAGS if f.endswith(("-b", "-d"))])
+def test_refinement_membership_matches_the_frozen_reference_at_n6(family):
+    reference = tuple(w for w in _windows(6) if ref_member(w, family))
+    assert reference and _oracle(family, 6) == reference
 
 
 # -- trees and forests: canonical order without a global sort -------------

@@ -10,8 +10,9 @@ from snake_atlas.bijections import phi1, phi2, zeta1, zeta1_inv, zeta2_inv
 from snake_atlas.errors import (LimitError, MembershipError, SettingError,
                                 enforce_ceiling)
 from snake_atlas.forests import enumerate_forests
+from snake_atlas import permutations
 from snake_atlas.permutations import (DEFAULT_PERM_CEILING, FAMILY_TAGS,
-                                      _andre_levels_ok, _simsun_levels_ok,
+                                      _first_bad_level,
                                       augmenting_elements, check_window,
                                       enumerate_family, expand_first_entry,
                                       expand_last_entry, gae, is_beta_snake,
@@ -261,6 +262,15 @@ def reference_andre_levels(w, signed):
     return True
 
 
+def _simsun_levels_ok(w, signed):
+    """First level 1..n whose restriction has a double descent, else None."""
+    return _first_bad_level(w, signed, need_ascent=False)
+
+
+def _andre_levels_ok(w, signed):
+    return _first_bad_level(w, signed, need_ascent=True) is None
+
+
 def _assert_levels_match(w):
     for signed in (False, True):
         assert _simsun_levels_ok(w, signed) == reference_simsun_levels(w, signed), (w, signed)
@@ -315,3 +325,149 @@ def test_membership_error_step_is_first_bad_level(fn, family, signed):
             assert err.value.step == step
             message = f"{fn.__name__}: input not in {family}"
             assert str(err.value) == (message if step is None else f"{message} (step {step})")
+
+
+# -- a frozen membership test ----------------------------------------------
+# is_member and enumerate_family read one family table, so comparing them
+# shows nothing about the table.  ref_member is the membership test as an
+# if-chain over its own readings of the sign rules (the -b rules on the
+# minima of |w|, and the -d rules as conditions on the anchored entry),
+# kept unchanged as the oracle for the table (tests/test_generation.py).
+# It shares only the level scan, which is checked against the definition
+# above.
+
+def _ref_alternates(w):
+    return all(w[i] > w[i + 1] if i % 2 == 0 else w[i] < w[i + 1]
+               for i in range(len(w) - 1))
+
+
+def _ref_gae_or_zero(w):
+    aug = augmenting_elements(w)
+    return aug[-1] if aug else 0
+
+
+def _rl_min_positions(absvals):
+    out = []
+    m = None
+    for i in range(len(absvals) - 1, -1, -1):
+        if m is None or absvals[i] < m:
+            m = absvals[i]
+            out.append(i)
+    return out[::-1]
+
+
+def _lr_min_positions(absvals):
+    out = []
+    m = None
+    for i, a in enumerate(absvals):
+        if m is None or a < m:
+            m = a
+            out.append(i)
+    return out
+
+
+def _cond_b_type1(w):
+    # right-to-left minima of |w| must carry positive entries
+    a = [abs(x) for x in w]
+    return all(w[i] > 0 for i in _rl_min_positions(a))
+
+
+def _cond_d_type1(w):
+    # last entry negative and heavier than its (signed) predecessor;
+    # right-to-left minima of the first n-1 absolute values positive.
+    n = len(w)
+    if w[-1] >= 0:
+        return False
+    if n >= 2 and not abs(w[-1]) > w[-2]:
+        return False
+    a = [abs(x) for x in w[:-1]]
+    return all(w[i] > 0 for i in _rl_min_positions(a))
+
+
+def _cond_b_type2(w):
+    a = [abs(x) for x in w]
+    return all(w[i] > 0 for i in _lr_min_positions(a))
+
+
+def _cond_d_type2(w):
+    if w[0] >= 0 or abs(w[0]) <= _ref_gae_or_zero(w):
+        return False
+    a = [abs(x) for x in w[1:]]
+    return all(w[i + 1] > 0 for i in _lr_min_positions(a))
+
+
+def _cond_d_adii(w):
+    if w[0] >= 0 or not abs(w[0]) > w[-1]:
+        return False
+    a = [abs(x) for x in w[1:]]
+    return all(w[i + 1] > 0 for i in _lr_min_positions(a))
+
+
+def ref_member(w, family):
+    """Membership of a checked window w in a FAMILY_TAGS family."""
+    if family not in FAMILY_TAGS:
+        raise ValueError(f"unknown family {family!r}")
+    all_positive = all(x > 0 for x in w)
+    if family == "snakes":
+        return _ref_alternates(w)
+    if family == "gamma-snakes":
+        return _ref_alternates(w) and (-1) ** len(w) * w[-1] < 0
+    if family == "alternating-unsigned":
+        return all_positive and _ref_alternates(w)
+    if family == "simsun-unsigned":
+        return all_positive and _simsun_levels_ok(w, signed=False) is None
+    if family == "andre-unsigned":
+        return all_positive and _andre_levels_ok(w, signed=False)
+    if family.startswith("rsi-") or family == "rsi":
+        if _simsun_levels_ok(w, signed=False) is not None:
+            return False
+        if family == "rsi-b":
+            return _cond_b_type1(w)
+        if family == "rsi-d":
+            return _cond_d_type1(w)
+        return True
+    if family.startswith("rsii-") or family == "rsii":
+        if _simsun_levels_ok(w, signed=True) is not None:
+            return False
+        if family == "rsii-b":
+            return _cond_b_type2(w)
+        if family == "rsii-d":
+            return _cond_d_type2(w)
+        return True
+    if family.startswith("adi-") or family == "adi":
+        if 1 not in w or not _andre_levels_ok(w, signed=False):
+            return False
+        if family == "adi-b":
+            return _cond_b_type1(w)
+        if family == "adi-d":
+            # The suffix-minima reading over-admits here; the family is
+            # the pullback of adi-b under the last-entry shrinking map,
+            # which is what the index-shifting bijection requires.
+            if len(w) < 2 or w[-1] >= 0 or not abs(w[-1]) > w[-2]:
+                return False
+            return ref_member(shrink_last_entry(w), "adi-b")
+        return True
+    if 1 not in w or not _andre_levels_ok(w, signed=True):
+        return False
+    if family == "adii-b":
+        return _cond_b_type2(w)
+    if family == "adii-d":
+        return _cond_d_adii(w)
+    return True
+
+
+@pytest.mark.parametrize("family", ["snakes", "rsi", "rsii-d"])
+@pytest.mark.parametrize("constraint, message", [
+    (("nope", 1), "unknown anchor 'nope'"),
+    (("first",), "not enough values to unpack (expected 2, got 1)"),
+])
+def test_bad_constraint_fails_before_any_window_is_built(monkeypatch, family,
+                                                          constraint, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a generator ran before the constraint was checked")
+
+    for name in ("_gen_positional", "_gen_by_insertion", "_gen_d_refinement"):
+        monkeypatch.setattr(permutations, name, refuse)
+    with pytest.raises(ValueError) as err:
+        enumerate_family(family, 7, constraint)
+    assert str(err.value) == message
