@@ -52,8 +52,13 @@ def _anchor_values(anchor, n):
 
 
 @lru_cache(maxsize=None)
+def _windows(n):
+    return all_windows(n)
+
+
+@lru_cache(maxsize=None)
 def _oracle(family, n):
-    return tuple(w for w in all_windows(n) if is_member(w, family))
+    return tuple(w for w in _windows(n) if is_member(w, family))
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -76,11 +81,6 @@ def _base_at_n7(base):
 def test_refinements_match_filtered_base_at_n7(family):
     base = _base_at_n7(family.split("-")[0])
     assert enumerate_family(family, 7) == [w for w in base if is_member(w, family)]
-
-
-@lru_cache(maxsize=None)
-def _windows(n):
-    return all_windows(n)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
