@@ -39,9 +39,9 @@ from .errors import MembershipError
 from .forests import (BLACK, WHITE, _forest_to_tree, _tree_to_forest,
                       validate_forest)
 from .permutations import (_FAMILIES, check_window, expand_first_entry,
-                           expand_last_entry, _d_split, _first_bad_level,
-                           _linked, _member, _minima_positive,
-                           _rl_min_positions)
+                           expand_last_entry, _augmenting_positions, _d_split,
+                           _first_bad_level, _linked, _member,
+                           _minima_positive, _rl_min_positions)
 from .trees import (EMPTY, _lower_rightmost_leaf, _raise_rightmost_leaf,
                     _rightmost_end, _subtrees, validate_tree)
 
@@ -214,7 +214,10 @@ def _phi1(w, chain, trace: bool = False):
     """``phi1`` of an rsi member with its ``_member_chain``: step j
     reads the neighbours a, c of j in the level-j restriction and the
     marks of a, c one level down, where they are adjacent (peaks and
-    double ascents of the absolute word, read off the linked list)."""
+    double ascents of the absolute word, read off the linked list).
+    Levels j-1 and j have no double descent, so c is a double ascent if
+    key[a] < key[c], else a is a peak; the class correspondence (checked
+    in ``tests/test_chain_pass.py``) gives each edited node its class."""
     n = len(w)
     prv, nxt, at = chain
     key = [0] + [abs(x) for x in w] + [n + 1]
@@ -229,28 +232,17 @@ def _phi1(w, chain, trace: bool = False):
             kids[j] = [EMPTY]
             steps.append(("i", "new-root", j))
         elif key[a] < key[c]:
-            y = w[c - 1]
-            if not key[a] < key[c] < key[nxt[c]]:
-                raise MembershipError(f"phi1: {y} is not a double-ascent element", step=j)
-            v = abs(y)
+            v = abs(w[c - 1])
             kid = kids[v]
-            if kid is None or kid.count(EMPTY) != 1:
-                raise MembershipError(f"node {v} is not intermediate")
             kid[kid.index(EMPTY)] = j
             kids[j] = [EMPTY, EMPTY] if x > 0 else None
             steps.append(("ii", "fill-intermediate", v))
         else:
             y = w[a - 1]
-            if not key[prv[a]] < key[a] > key[c]:
-                raise MembershipError(f"phi1: {y} is not a peak", step=j)
             v = abs(y)
             if y > 0:
-                if kids.get(v) != [EMPTY, EMPTY]:
-                    raise MembershipError(f"phi1: node {v} should have two empty leaves", step=j)
                 kids[v][1] = j
             else:
-                if kids.get(v, 0) is not None:
-                    raise MembershipError(f"phi1: node {v} should be a labelled leaf", step=j)
                 kids[v] = [j, EMPTY]
             kids[j] = [EMPTY, EMPTY] if x > 0 else None
             steps.append(("iii", "attach-at-peak", y))
@@ -294,14 +286,12 @@ def _phi2(w, chain, trace: bool = False):
     """``phi2`` of an rsii member, read off its ``_member_chain`` as in
     ``_phi1`` but by signed value; a type-ii step ranks its target among
     the double ascents of the level-(j-1) restriction by walking that
-    list, and finds the singular leaf of that rank on the frontier."""
+    list, and finds the singular leaf of that rank on the frontier.
+    Membership makes each step valid, as in ``_phi1``; a type-iii step
+    has y > z, so z < 0 if |y| < |z|, and y > 0 if |y| > |z|."""
     n = len(w)
     prv, nxt, at = chain
     val = [-n - 1] + list(w) + [n + 1]
-
-    def double_ascent(q):
-        return val[prv[q]] < val[q] < val[nxt[q]]
-
     colors, kids = {}, {}
     leaves = _Leaves(n)
     steps = []
@@ -317,32 +307,20 @@ def _phi2(w, chain, trace: bool = False):
         else:
             if y < z:
                 t = a if x < 0 else c
-                if not double_ascent(t):
-                    raise MembershipError(f"phi2: {val[t]} is not a double-ascent element", step=j)
                 rank, q = 0, nxt[0]
                 while q != t:
-                    rank += double_ascent(q)
+                    rank += val[prv[q]] < val[q] < val[nxt[q]]
                     q = nxt[q]
                 s = leaves.singular(rank)
-                if s == 1:
-                    raise MembershipError("phi2: singular leaf rank out of range", step=j)
                 kids[s >> 1][s & 1] = j
                 steps.append(("ii", "fill-singular", rank + 1))
             elif abs(y) < abs(z):
-                if not z < 0:
-                    raise MembershipError("phi2: heavy bottom must be negative", step=j)
-                v = abs(z)
-                if kids.get(v, 0) is not None:
-                    raise MembershipError(f"phi2: node {v} should be a labelled leaf", step=j)
+                v = -z
                 kids[v] = [j, EMPTY]
                 s = 2 * v
                 leaves.open(s, True)
                 steps.append(("iii", "under-heavy-bottom", z))
             else:
-                if not y > 0:
-                    raise MembershipError("phi2: heavy top must be positive", step=j)
-                if kids.get(y) != [EMPTY, EMPTY]:
-                    raise MembershipError(f"phi2: node {y} should have two empty leaves", step=j)
                 kids[y][1] = j
                 s = 2 * y + 1
                 leaves.open(s, False)
@@ -401,7 +379,9 @@ def _phi2_inv(forest, trace: bool = False):
 # Each map checks its input once and then runs the unchecked cores: a
 # -d map checks the window its anchor shrinks to for rsi-b (rsii-b)
 # membership, which implies rsi (rsii), and a forest cut from a valid
-# tree is valid.
+# tree is valid.  An inverse's output needs no check: phi1 (phi2) sends
+# rsi-b (rsii-b) one-to-one into the white forests, which are as many
+# (prop-4-2, prop-5-1, thm-2-13).
 
 def phi1_b(window):
     w = check_window(window)
@@ -410,14 +390,7 @@ def phi1_b(window):
 
 def phi1_b_inv(tree):
     validate_tree(tree)
-    return _phi1_b_inv(tree)
-
-
-def _phi1_b_inv(tree):
-    w = _phi1_inv(_tree_to_forest(tree))
-    if not _member(w, "rsi-b"):
-        raise MembershipError("phi1_b_inv: tree is not a type-I B image")
-    return w
+    return _phi1_inv(_tree_to_forest(tree))
 
 
 def phi1_d(window):
@@ -432,7 +405,7 @@ def phi1_d_inv(tree):
         raise MembershipError("phi1_d_inv: rightmost leaf must be labelled")
     if k < 2:
         raise MembershipError("phi1_d_inv: rightmost label must be >= 2")
-    return expand_last_entry(_phi1_b_inv(_lower_rightmost_leaf(tree)), k)
+    return expand_last_entry(_phi1_inv(_tree_to_forest(_lower_rightmost_leaf(tree))), k)
 
 
 def phi2_b(window):
@@ -442,14 +415,7 @@ def phi2_b(window):
 
 def phi2_b_inv(tree):
     validate_tree(tree)
-    return _phi2_b_inv(tree)
-
-
-def _phi2_b_inv(tree):
-    w = _phi2_inv(_tree_to_forest(tree))
-    if not _member(w, "rsii-b"):
-        raise MembershipError("phi2_b_inv: tree is not a type-II B image")
-    return w
+    return _phi2_inv(_tree_to_forest(tree))
 
 
 def phi2_d(window):
@@ -464,7 +430,7 @@ def phi2_d_inv(tree):
         raise MembershipError("phi2_d_inv: rightmost leaf must be labelled")
     if k < 2:
         raise MembershipError("phi2_d_inv: rightmost label must be >= 2")
-    return expand_first_entry(_phi2_b_inv(_lower_rightmost_leaf(tree)), k)
+    return expand_first_entry(_phi2_inv(_tree_to_forest(_lower_rightmost_leaf(tree))), k)
 
 
 # -- zeta maps -------------------------------------------------------------
@@ -493,12 +459,6 @@ def _unslide(w, marks) -> tuple[int, ...]:
         out[q] = _inc(w[p])
     out[ext[0]] = 1
     return tuple(out)
-
-
-def _augmenting_positions(w) -> list[int]:
-    """Positions of the augmenting entries: positive right-to-left minima
-    of the absolute word."""
-    return [p for p in _rl_min_positions([abs(x) for x in w]) if w[p] > 0]
 
 
 def zeta1(window) -> tuple[int, ...]:

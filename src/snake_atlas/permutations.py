@@ -109,14 +109,13 @@ def augmenting_elements(window) -> tuple[int, ...]:
 
 
 def _augmenting(w) -> tuple[int, ...]:
-    n = len(w)
-    out = []
-    suffix_min = n + 1
-    for x in reversed(w):
-        if x > 0 and x < suffix_min:
-            out.append(x)
-        suffix_min = min(suffix_min, abs(x))
-    return tuple(reversed(out))
+    return tuple(w[p] for p in _augmenting_positions(w))
+
+
+def _augmenting_positions(w) -> list[int]:
+    """Positions of the augmenting entries: positive right-to-left minima
+    of the absolute word."""
+    return [p for p in _rl_min_positions([abs(x) for x in w]) if w[p] > 0]
 
 
 def gae(window) -> int:

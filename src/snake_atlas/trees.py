@@ -395,7 +395,8 @@ def tree_to_snake(tree) -> tuple[int, ...]:
 
 
 def snake_to_tree(window):
-    """Inverse of tree_to_snake; rejects windows that do not alternate."""
+    """Inverse of tree_to_snake; rejects windows that do not alternate.
+    Every alternating window encodes a tree (thm-1-1)."""
     from .permutations import _alternates, check_window
 
     w = check_window(window)
@@ -416,10 +417,7 @@ def snake_to_tree(window):
     for p in range(n):
         word.append(labels[p])
         word.extend([EMPTY] * gaps[p + 1])
-    try:
-        return tree_from_word(word)
-    except ValueError as exc:
-        raise MembershipError(f"window does not encode a tree: {exc}") from exc
+    return tree_from_word(word)
 
 
 # -- JSON ---------------------------------------------------------------

@@ -126,13 +126,10 @@ def arnold_poly(n: int) -> DoubleTriangle:
     Same boustrophedon flow, but the turn at column 1 multiplies by t^2
     and the row-to-row transfers carry t or 1/t.  Intermediate entries
     may pass through negative exponents; every final entry is a proper
-    polynomial, which is asserted.
+    polynomial (checked by ``verify``'s eq-5).
     """
-    tri = _signed_boustrophedon(n, (LaurentPoly.t_power(2), LaurentPoly.one()),
-                                LaurentPoly.shift)
-    for val in tri.entries.values():
-        assert val.is_zero() or val.min_exp >= 0
-    return tri
+    return _signed_boustrophedon(n, (LaurentPoly.t_power(2), LaurentPoly.one()),
+                                 LaurentPoly.shift)
 
 
 def gamma_arrays(n: int) -> DoubleTriangle:
