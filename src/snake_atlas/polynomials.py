@@ -8,24 +8,56 @@ polynomial is zero.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from itertools import repeat
-from operator import add
-from typing import Iterable, Mapping
+from operator import add, attrgetter
+
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class LaurentPoly:
-    min_exp: int
-    coeffs: tuple[int, ...]
+class Value:
+    """Immutable value: a subclass names its fields in ``__slots__`` and sets
+    them in ``__init__`` with ``_set``.  Objects of one class compare and
+    hash by their fields, print as ``Name(field=value, ...)`` and pickle."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not all(map(isinstance, self.coeffs, repeat(int))):
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class LaurentPoly(Value):
+    __slots__ = ("min_exp", "coeffs")
+
+    def __init__(self, min_exp: int, coeffs: tuple[int, ...]):
+        if not all(map(isinstance, coeffs, repeat(int))):
             raise TypeError("coefficients must be integers")
-        if self.coeffs and (self.coeffs[0] == 0 or self.coeffs[-1] == 0):
+        if coeffs and (coeffs[0] == 0 or coeffs[-1] == 0):
             raise ValueError("not canonical: leading/trailing zero coefficient")
-        if not self.coeffs and self.min_exp != 0:
+        if not coeffs and min_exp != 0:
             raise ValueError("zero polynomial must have min_exp 0")
+        _set(self, "min_exp", min_exp)
+        _set(self, "coeffs", coeffs)
 
     # -- constructors ------------------------------------------------
 

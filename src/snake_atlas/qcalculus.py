@@ -21,23 +21,22 @@ the empty leaves read before it (black roots add one more).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
 from .errors import enforce_ceiling
 from .forests import BLACK, DEFAULT_FOREST_CEILING, validate_forest
-from .polynomials import LaurentPoly
+from .polynomials import LaurentPoly, Value, _set
 from .trees import (DEFAULT_TREE_CEILING, EMPTY, _keyed_trees, _splits, emp,
                     validate_tree)
 
 
-@dataclass(frozen=True)
-class QPoly:
-    coeffs: tuple[int, ...]  # coefficient of q^i at index i
+class QPoly(Value):
+    __slots__ = ("coeffs",)  # coefficient of q^i at index i
 
-    def __post_init__(self):
-        if self.coeffs and self.coeffs[-1] == 0:
+    def __init__(self, coeffs: tuple[int, ...]):
+        if coeffs and coeffs[-1] == 0:
             raise ValueError("not canonical: trailing zero")
+        _set(self, "coeffs", coeffs)
 
     @staticmethod
     def make(coeffs: Iterable[int]) -> "QPoly":
@@ -91,13 +90,13 @@ class QPoly:
         return sum(c * q**i for i, c in enumerate(self.coeffs))
 
 
-@dataclass(frozen=True)
-class BiPoly:
-    t_coeffs: tuple[QPoly, ...]  # coefficient of t^i at index i
+class BiPoly(Value):
+    __slots__ = ("t_coeffs",)  # coefficient of t^i at index i
 
-    def __post_init__(self):
-        if self.t_coeffs and self.t_coeffs[-1].is_zero():
+    def __init__(self, t_coeffs: tuple[QPoly, ...]):
+        if t_coeffs and t_coeffs[-1].is_zero():
             raise ValueError("not canonical: trailing zero t-coefficient")
+        _set(self, "t_coeffs", t_coeffs)
 
     @staticmethod
     def make(t_coeffs: Iterable[QPoly]) -> "BiPoly":
@@ -162,10 +161,12 @@ def op_U(f: BiPoly) -> BiPoly:
 _PRIMITIVES = {"D": op_D, "U": op_U}
 
 
-@dataclass(frozen=True)
-class Operator:
+class Operator(Value):
     """Sum of words in the primitives D and U, applied right to left."""
-    words: tuple[str, ...]
+    __slots__ = ("words",)
+
+    def __init__(self, words: tuple[str, ...]):
+        _set(self, "words", words)
 
     def __call__(self, f: BiPoly) -> BiPoly:
         total = BiPoly.zero()

@@ -417,7 +417,7 @@ def snake_to_tree(window):
     for p in range(n):
         word.append(labels[p])
         word.extend([EMPTY] * gaps[p + 1])
-    return tree_from_word(word)
+    return _from_word(word)
 
 
 # -- JSON ---------------------------------------------------------------

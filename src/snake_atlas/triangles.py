@@ -18,18 +18,15 @@ coefficient list, and the triangle row sums are checked against them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Generic, TypeVar
-
-from .polynomials import LaurentPoly
-
-V = TypeVar("V")
+from .polynomials import LaurentPoly, Value, _set
 
 
-@dataclass(frozen=True)
-class EntringerTriangle:
-    n: int
-    entries: dict  # (row, k) -> int, 1 <= k <= row <= n
+class EntringerTriangle(Value):
+    __slots__ = ("n", "entries")  # (row, k) -> int, 1 <= k <= row <= n
+
+    def __init__(self, n: int, entries: dict):
+        _set(self, "n", n)
+        _set(self, "entries", entries)
 
     def row(self, r: int) -> list[int]:
         return [self.entries[(r, k)] for k in range(1, r + 1)]
@@ -43,19 +40,21 @@ class EntringerTriangle:
                          for k in range(1, self.n + 1)]}
 
 
-@dataclass(frozen=True)
-class DoubleTriangle(Generic[V]):
-    n: int
-    entries: dict  # (row, k) -> V, 1 <= |k| <= row <= n
+class DoubleTriangle(Value):
+    __slots__ = ("n", "entries")  # (row, k) -> int or LaurentPoly, 1 <= |k| <= row <= n
+
+    def __init__(self, n: int, entries: dict):
+        _set(self, "n", n)
+        _set(self, "entries", entries)
 
     @staticmethod
     def signed_columns(r: int) -> list[int]:
         return list(range(-r, 0)) + list(range(1, r + 1))
 
-    def row(self, r: int) -> list[V]:
+    def row(self, r: int) -> list:
         return [self.entries[(r, k)] for k in self.signed_columns(r)]
 
-    def value(self, r: int, k: int) -> V:
+    def value(self, r: int, k: int):
         return self.entries[(r, k)]
 
     def positive_sum(self, r: int):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass
+from copy import deepcopy
 
 from . import fixtures as fx
 from .bijections import (phi1, phi1_d, phi1_d_inv, phi1_inv, phi2, phi2_d,
@@ -20,7 +20,7 @@ from .errors import LimitError
 from .forests import emp_forest, enumerate_forests, is_all_white, last_root
 from .permutations import (enumerate_family, gae, is_member, npk, nva,
                            shrink_last_entry, subword)
-from .polynomials import LaurentPoly
+from .polynomials import LaurentPoly, Value
 from .qcalculus import (BiPoly, QPoly, forest_step_weights, qpoly_P, qpoly_Q,
                         qpoly_R, tree_step_weights, weighted_sum_forests,
                         weighted_sum_trees)
@@ -32,16 +32,20 @@ from .triangles import (arnold, arnold_poly, entringer, gamma_arrays,
                         hoffman_triangle_identity)
 
 
-@dataclass
-class CheckReport:
-    check_id: str
-    n_range: list[int]
-    status: str
-    counterexample: dict | None
-    elapsed: float
+class CheckReport(Value):
+    """One check's outcome; a report can be changed, so it has no hash."""
+    __slots__ = ("check_id", "n_range", "status", "counterexample", "elapsed")
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(self, check_id: str, n_range: list[int], status: str,
+                 counterexample: dict | None, elapsed: float):
+        self.check_id, self.n_range, self.status = check_id, n_range, status
+        self.counterexample, self.elapsed = counterexample, elapsed
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {f: deepcopy(getattr(self, f)) for f in self.__slots__}
 
 
 def _fail(inputs, expected, actual) -> dict:

@@ -51,13 +51,13 @@ EXPORTS = {
 PUBLIC = sorted([*EXPORTS, *(n for names in EXPORTS.values() for n in names)])
 
 
-def fresh(code):
-    """Run ``code`` in a new interpreter that imports from ``src``; return
-    the JSON value it prints last."""
+def fresh(code, *flags):
+    """Run ``code`` in a new interpreter, started with ``flags``, that
+    imports from ``src``; return the JSON value it prints last."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC), *filter(None, [env.get("PYTHONPATH")])])
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+    proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -75,6 +75,25 @@ def test_bulk_imports_load_only_what_they_use():
                    "snake_atlas.qcalculus; " + LOADED)
     assert loaded == ["snake_atlas." + m for m in
                       ("errors", "forests", "polynomials", "qcalculus", "trees")]
+
+
+def _heavy(after):
+    """Code that runs ``after`` and prints which heavy stdlib modules are
+    loaded; ``json`` imports ``re``, so it is imported last."""
+    return ("import sys; " + after + "; heavy = sorted(m for m in ('dataclasses', "
+            "'inspect', 'typing', 're', 'enum') if m in sys.modules); "
+            "import json; print(json.dumps(heavy))")
+
+
+def test_engine_imports_load_neither_dataclasses_nor_inspect():
+    """The value classes are plain classes, so no engine module needs
+    ``dataclasses``, which imports ``inspect``.  Without ``site`` (which
+    may import ``typing`` itself) the bulk path loads no ``typing``, and
+    so no ``re`` or ``enum``."""
+    bulk = "import snake_atlas.trees, snake_atlas.forests, snake_atlas.qcalculus"
+    for after in (bulk, "import snake_atlas.verify"):
+        assert not {"dataclasses", "inspect"} & set(fresh(_heavy(after)))
+    assert fresh(_heavy(bulk), "-S") == []
 
 
 def test_public_names_are_the_eager_ones():
