@@ -11,9 +11,9 @@ from collections import Counter
 
 from snake_atlas.bijections import phi1, phi2
 from snake_atlas.cli import EXIT_CEILING, EXIT_USAGE, _int_at_least
-from snake_atlas.errors import LimitError, SettingError
+from snake_atlas.errors import LimitError, SettingError, enforce_ceiling
 from snake_atlas.forests import emp_forest
-from snake_atlas.permutations import enumerate_family
+from snake_atlas.permutations import DEFAULT_PERM_CEILING, enumerate_family
 from snake_atlas.triangles import arnold
 
 
@@ -33,6 +33,9 @@ def main():
 
 
 def census(n_max):
+    # Every size starts with the rsi-b enumeration, so its ceiling at the
+    # largest size is checked before anything is computed or printed.
+    enforce_ceiling("family 'rsi-b' enumeration", n_max, None, DEFAULT_PERM_CEILING)
     for n in range(1, n_max + 1):
         tri = arnold(n)
         print(f"\nsize {n}")

@@ -9,6 +9,11 @@ layouts for eyeballing.  A ``bijection`` input is decoded, not
 validated: the map validates it, once, as it does for API callers.  A
 request is parsed once, by its subcommand's parser (``parse``).
 
+Importing this module loads no engine module but ``errors``: each
+subcommand imports its own modules when its parser is built or it runs,
+``BIJECTIONS`` is built when first read, and an engine name is bound
+here once, on its first use (``_use``).
+
 Exit codes: 0 success, 1 verification failure, 2 usage error,
 3 size ceiling exceeded (an enumeration ceiling, or a nested JSON input
 or output deeper than Python's recursion limit; the message says which),
@@ -23,22 +28,9 @@ import functools
 import io
 import json
 import sys
+from importlib import import_module
 
-from .bijections import (phi1, phi1_b, phi1_b_inv, phi1_d, phi1_d_inv,
-                         phi1_inv, phi2, phi2_b, phi2_b_inv, phi2_d,
-                         phi2_d_inv, phi2_inv, zeta1, zeta1_inv, zeta2,
-                         zeta2_inv)
 from .errors import LimitError, MembershipError, SettingError
-from .forests import (forest_to_json, forest_to_tree, tree_to_forest,
-                      _decode_forest)
-from .permutations import FAMILY_TAGS, enumerate_family
-from .qcalculus import qpoly_P, qpoly_Q, qpoly_R
-from .trees import (psi_cap, psi_cap_inv, psi_circ, psi_circ_inv, psi_star,
-                    psi_star_inv, snake_to_tree, tree_to_snake,
-                    tree_to_word_json, _decode_tree)
-from .triangles import (arnold, arnold_poly, entringer, gamma_arrays,
-                        hoffman_P, hoffman_Q, hoffman_R)
-from .verify import CHECKS, run_all, run_check
 
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
@@ -86,44 +78,69 @@ def _no_trace(fn):
     return wrapped
 
 
-# name -> (forward, inverse, forward input, forward output, inverse input, inverse output)
-BIJECTIONS = {
-    "gamma": (_no_trace(tree_to_snake), _no_trace(snake_to_tree),
-              _decode_tree, list, _parse_window, tree_to_word_json),
-    "mu": (_no_trace(tree_to_forest), _no_trace(forest_to_tree),
-           _decode_tree, forest_to_json, _decode_forest, tree_to_word_json),
-    "phi1": (phi1, phi1_inv, _parse_window, forest_to_json, _decode_forest, list),
-    "phi2": (phi2, phi2_inv, _parse_window, forest_to_json, _decode_forest, list),
-    "phi1-b": (_no_trace(phi1_b), _no_trace(phi1_b_inv),
-               _parse_window, tree_to_word_json, _decode_tree, list),
-    "phi1-d": (_no_trace(phi1_d), _no_trace(phi1_d_inv),
-               _parse_window, tree_to_word_json, _decode_tree, list),
-    "phi2-b": (_no_trace(phi2_b), _no_trace(phi2_b_inv),
-               _parse_window, tree_to_word_json, _decode_tree, list),
-    "phi2-d": (_no_trace(phi2_d), _no_trace(phi2_d_inv),
-               _parse_window, tree_to_word_json, _decode_tree, list),
-    "zeta1": (_no_trace(zeta1), _no_trace(zeta1_inv),
-              _parse_window, list, _parse_window, list),
-    "zeta2": (_no_trace(zeta2), _no_trace(zeta2_inv),
-              _parse_window, list, _parse_window, list),
-    "psi-star": (_with_case(psi_star), _with_case(psi_star_inv),
-                 _decode_tree, tree_to_word_json, _decode_tree, tree_to_word_json),
-    "psi-circ": (_with_case(psi_circ), _with_case(psi_circ_inv),
-                 _decode_tree, tree_to_word_json, _decode_tree, tree_to_word_json),
-    "psi-cap": (_no_trace(psi_cap), _no_trace(psi_cap_inv),
-                _decode_tree, tree_to_word_json, _decode_tree, tree_to_word_json),
-}
+def _use(module: str, name: str):
+    """``module.name``, bound here on its first use and read from here
+    after: a wrapper put on it here (``perfbench/layers.py``) stays."""
+    value = globals().get(name)
+    if value is None:
+        value = globals()[name] = getattr(import_module(f".{module}", __package__), name)
+    return value
 
 
-# kind -> its array.  The lambdas read this module's names at call time,
-# so a wrapper put on one of them (``perfbench/layers.py``) sees the call.
-TRIANGLES = {"entringer": lambda n: entringer(n), "arnold": lambda n: arnold(n),
-             "arnold-poly": lambda n: arnold_poly(n), "gamma": lambda n: gamma_arrays(n)}
+@functools.cache
+def _bijections() -> dict:
+    """``BIJECTIONS``: name -> (forward, inverse, forward input, forward
+    output, inverse input, inverse output), built on first use."""
+    b, f, t = (import_module(f".{m}", __package__) for m in ("bijections", "forests", "trees"))
+    return {
+        "gamma": (_no_trace(t.tree_to_snake), _no_trace(t.snake_to_tree),
+                  t._decode_tree, list, _parse_window, t.tree_to_word_json),
+        "mu": (_no_trace(f.tree_to_forest), _no_trace(f.forest_to_tree),
+               t._decode_tree, f.forest_to_json, f._decode_forest, t.tree_to_word_json),
+        "phi1": (b.phi1, b.phi1_inv, _parse_window, f.forest_to_json, f._decode_forest, list),
+        "phi2": (b.phi2, b.phi2_inv, _parse_window, f.forest_to_json, f._decode_forest, list),
+        "phi1-b": (_no_trace(b.phi1_b), _no_trace(b.phi1_b_inv),
+                   _parse_window, t.tree_to_word_json, t._decode_tree, list),
+        "phi1-d": (_no_trace(b.phi1_d), _no_trace(b.phi1_d_inv),
+                   _parse_window, t.tree_to_word_json, t._decode_tree, list),
+        "phi2-b": (_no_trace(b.phi2_b), _no_trace(b.phi2_b_inv),
+                   _parse_window, t.tree_to_word_json, t._decode_tree, list),
+        "phi2-d": (_no_trace(b.phi2_d), _no_trace(b.phi2_d_inv),
+                   _parse_window, t.tree_to_word_json, t._decode_tree, list),
+        "zeta1": (_no_trace(b.zeta1), _no_trace(b.zeta1_inv),
+                  _parse_window, list, _parse_window, list),
+        "zeta2": (_no_trace(b.zeta2), _no_trace(b.zeta2_inv),
+                  _parse_window, list, _parse_window, list),
+        "psi-star": (_with_case(t.psi_star), _with_case(t.psi_star_inv),
+                     t._decode_tree, t.tree_to_word_json, t._decode_tree, t.tree_to_word_json),
+        "psi-circ": (_with_case(t.psi_circ), _with_case(t.psi_circ_inv),
+                     t._decode_tree, t.tree_to_word_json, t._decode_tree, t.tree_to_word_json),
+        "psi-cap": (_no_trace(t.psi_cap), _no_trace(t.psi_cap_inv),
+                    t._decode_tree, t.tree_to_word_json, t._decode_tree, t.tree_to_word_json),
+    }
+
+
+def __getattr__(name):
+    """Build ``BIJECTIONS`` on its first read (PEP 562)."""
+    if name == "BIJECTIONS":
+        return _bijections()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+# kind -> the ``triangles`` function that builds its array
+TRIANGLES = {"entringer": "entringer", "arnold": "arnold",
+             "arnold-poly": "arnold_poly", "gamma": "gamma_arrays"}
+
+
+def _triangle_options(p):
+    p.add_argument("--kind", required=True, choices=list(TRIANGLES))
+    p.add_argument("--n", type=_int_at_least(1), required=True)
+    p.add_argument("--format", choices=["json", "csv"], default="json")
 
 
 def _triangle(args) -> int:
     n = args.n
-    tri = TRIANGLES[args.kind](n)
+    tri = _use("triangles", TRIANGLES[args.kind])(n)
     if args.format == "json":
         _emit(tri.to_json())
         return 0
@@ -137,25 +154,43 @@ def _triangle(args) -> int:
     return 0
 
 
+def _family_options(p):
+    p.add_argument("--name", required=True, choices=sorted(_use("permutations", "FAMILY_TAGS")))
+    p.add_argument("--n", type=_int_at_least(1), required=True)
+    p.add_argument("--anchor", choices=["first", "last", "gae"])
+    p.add_argument("--value", type=int)
+
+
 def _family(args) -> int:
     constraint = None if args.anchor is None else (args.anchor, args.value)
-    members = enumerate_family(args.name, args.n, constraint)
+    members = _use("permutations", "enumerate_family")(args.name, args.n, constraint)
     _emit({"family": args.name, "n": args.n, "count": len(members),
            "members": members})
     return 0
 
 
+def _poly_options(p):
+    p.add_argument("--which", required=True, choices=["P", "Q", "R"])
+    p.add_argument("--n", type=_int_at_least(0), required=True)
+    p.add_argument("--q", action="store_true", help="emit the q-analogue")
+
+
 def _poly(args) -> int:
-    if args.q:
-        fn = {"P": qpoly_P, "Q": qpoly_Q, "R": qpoly_R}[args.which]
-    else:
-        fn = {"P": hoffman_P, "Q": hoffman_Q, "R": hoffman_R}[args.which]
+    fn = (_use("qcalculus", f"qpoly_{args.which}") if args.q
+          else _use("triangles", f"hoffman_{args.which}"))
     _emit(fn(args.n).to_json())
     return 0
 
 
+def _bijection_options(p):
+    p.add_argument("--name", required=True, choices=sorted(_bijections()))
+    p.add_argument("--direction", choices=["forward", "inverse"], default="forward")
+    p.add_argument("--input", required=True, help="JSON-encoded input object")
+    p.add_argument("--trace", action="store_true")
+
+
 def _bijection(args) -> int:
-    fwd, inv, fin, fout, iin, iout = BIJECTIONS[args.name]
+    fwd, inv, fin, fout, iin, iout = _bijections()[args.name]
     try:
         payload = json.loads(args.input)
     except json.JSONDecodeError as exc:
@@ -175,71 +210,59 @@ def _bijection(args) -> int:
     return 0
 
 
+def _verify_options(p):
+    p.add_argument("--check", default="all", choices=["all"] + sorted(_use("verify", "CHECKS")))
+    p.add_argument("--n-max", type=_int_at_least(1), default=None)
+
+
 def _verify(args) -> int:
     if args.check == "all":
-        reports = run_all(args.n_max)
+        reports = _use("verify", "run_all")(args.n_max)
     else:
-        reports = [run_check(args.check, args.n_max)]
+        reports = [_use("verify", "run_check")(args.check, args.n_max)]
     _emit([r.to_json() for r in reports])
     if any(r.status == "error" for r in reports):
         return EXIT_CEILING
     return 0 if all(r.status == "pass" for r in reports) else EXIT_VERIFY_FAIL
 
 
+# subcommand -> (help, handler, its options).  Each options function
+# reads its choice lists from their sources, so it loads only its modules.
+COMMANDS = {"triangle": ("recurrence-defined arrays", _triangle, _triangle_options),
+            "family": ("enumerate a signed-permutation family", _family, _family_options),
+            "poly": ("derivative polynomials", _poly, _poly_options),
+            "bijection": ("apply one of the bijections", _bijection, _bijection_options),
+            "verify": ("run registered checks", _verify, _verify_options)}
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built once and reused; ``parse_args`` only reads it."""
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The CLI parser, or with ``command`` that subcommand's parser alone;
+    each is built once and reused, and ``parse_args`` only reads it."""
+    if command is not None:
+        parser = argparse.ArgumentParser(prog=f"snake-atlas {command}")
+        COMMANDS[command][2](parser)
+        return parser
     parser = argparse.ArgumentParser(prog="snake-atlas",
                                      description="exact enumeration of snakes, "
                                                  "signed Simsun/Andre families and "
                                                  "their tree and forest companions")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("triangle", help="recurrence-defined arrays")
-    p.add_argument("--kind", required=True, choices=list(TRIANGLES))
-    p.add_argument("--n", type=_int_at_least(1), required=True)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.set_defaults(fn=_triangle)
-
-    p = sub.add_parser("family", help="enumerate a signed-permutation family")
-    p.add_argument("--name", required=True, choices=sorted(FAMILY_TAGS))
-    p.add_argument("--n", type=_int_at_least(1), required=True)
-    p.add_argument("--anchor", choices=["first", "last", "gae"])
-    p.add_argument("--value", type=int)
-    p.set_defaults(fn=_family)
-
-    p = sub.add_parser("poly", help="derivative polynomials")
-    p.add_argument("--which", required=True, choices=["P", "Q", "R"])
-    p.add_argument("--n", type=_int_at_least(0), required=True)
-    p.add_argument("--q", action="store_true", help="emit the q-analogue")
-    p.set_defaults(fn=_poly)
-
-    p = sub.add_parser("bijection", help="apply one of the bijections")
-    p.add_argument("--name", required=True, choices=sorted(BIJECTIONS))
-    p.add_argument("--direction", choices=["forward", "inverse"], default="forward")
-    p.add_argument("--input", required=True, help="JSON-encoded input object")
-    p.add_argument("--trace", action="store_true")
-    p.set_defaults(fn=_bijection)
-
-    p = sub.add_parser("verify", help="run registered checks")
-    p.add_argument("--check", default="all", choices=["all"] + sorted(CHECKS))
-    p.add_argument("--n-max", type=_int_at_least(1), default=None)
-    p.set_defaults(fn=_verify)
-
+    for name, (help_text, _, options) in COMMANDS.items():
+        options(sub.add_parser(name, help=help_text))
     parser.commands = sub.choices
     return parser
 
 
 def parse(argv):
-    """``build_parser().parse_args(argv)``, with one parse where argv names a
-    subcommand: the top-level parser would only hand it the rest of argv."""
-    parser = build_parser()
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    """``build_parser().parse_args(argv)`` in one parse: argv that names a
+    subcommand goes to that subcommand's own parser alone."""
+    if not argv or argv[0] not in COMMANDS:
+        return build_parser().parse_args(argv)
+    args, extra = build_parser(argv[0]).parse_known_args(
+        argv[1:], argparse.Namespace(command=argv[0]))
     if extra:
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
     return args
 
 
@@ -248,7 +271,7 @@ def main(argv=None) -> int:
     if args.command == "family" and (args.anchor is None) != (args.value is None):
         build_parser().error("--anchor and --value go together")
     try:
-        return args.fn(args)
+        return COMMANDS[args.command][1](args)
     except LimitError as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_CEILING

@@ -32,7 +32,7 @@ membership, enumeration and the bijections' domain checks all read it.
 """
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from collections import namedtuple
 
 from .errors import enforce_ceiling
 
@@ -226,21 +226,17 @@ def _d_split(w, d):
     return (k, u) if k > 0 and bound(u) < k else None
 
 
-class _Family(NamedTuple):
-    """The rules of one family; a window is a member when all hold.
-
-    ``levels`` is (signed, need_ascent) for ``_first_bad_level``, or None
-    for s1 > s2 < s3 > ...; ``minima`` is the end ("end", type I, or
-    "front", type II) that ``_minima_positive`` reads from.  A -d family's
-    ``d`` is (-b family, anchored end, bound) for ``_d_split``: its
-    members are that decomposition, which implies the other rules, and
-    at n = 1 the window (-1,) unless ``plus_one``."""
-    levels: tuple[bool, bool] | None
-    plus_one: bool = False  # the entry +1 is present
-    positive: bool = False  # every entry is positive
-    minima: str | None = None
-    gamma: bool = False  # (-1)^n * s_n < 0
-    d: tuple[str, str, Callable] | None = None
+# The rules of one family; a window is a member when all hold.
+# ``levels`` is (signed, need_ascent) for ``_first_bad_level``, or None
+# for s1 > s2 < s3 > ...; ``plus_one``: the entry +1 is present;
+# ``positive``: every entry is positive; ``minima`` is the end ("end",
+# type I, or "front", type II) that ``_minima_positive`` reads from;
+# ``gamma``: (-1)^n * s_n < 0.  A -d family's ``d`` is (-b family,
+# anchored end, bound) for ``_d_split``: its members are that
+# decomposition, which implies the other rules, and at n = 1 the window
+# (-1,) unless ``plus_one``.
+_Family = namedtuple("_Family", "levels plus_one positive minima gamma d",
+                     defaults=(False, False, None, False, None))
 
 
 def _last(u) -> int:

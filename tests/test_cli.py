@@ -260,6 +260,27 @@ def test_shared_parser_matches_a_fresh_parser_per_call(capsys, monkeypatch):
     assert [r[0] for r in shared] == [0, 0, 0, 0, 2, 0, 0, 2, 0]
 
 
+def test_bijection_requests_call_the_shared_table(capsys, monkeypatch):
+    """``cli.BIJECTIONS``, built on its first read, is the table that
+    ``main`` calls: an entry replaced in place answers the next request."""
+    from snake_atlas.cli import BIJECTIONS
+    assert BIJECTIONS is cli.BIJECTIONS
+    monkeypatch.setitem(BIJECTIONS, "zeta1",
+                        (lambda w, trace=False: w[::-1], *BIJECTIONS["zeta1"][1:]))
+    code, out, _ = run(capsys, "bijection", "--name", "zeta1", "--input", "[2,-1,3]")
+    assert (code, out) == (0, "[3,-1,2]\n")
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_a_subcommands_own_parser_matches_the_full_parser(monkeypatch, command):
+    """``parse`` builds only the named subcommand's parser; it prints the
+    help and usage that subcommand prints inside the full parser."""
+    monkeypatch.setenv("COLUMNS", "80")
+    own, full = cli.build_parser(command), cli.build_parser().commands[command]
+    assert own is not full
+    assert (own.format_help(), own.format_usage()) == (full.format_help(), full.format_usage())
+
+
 def load_script(name):
     spec = importlib.util.spec_from_file_location(name[:-3], ROOT / "scripts" / name)
     script = importlib.util.module_from_spec(spec)
@@ -387,8 +408,19 @@ def test_census_size_below_one_is_a_usage_error():
 def test_census_past_the_ceiling_prints_one_line_and_exits_3():
     r = run_script("bijection_census.py", "--n", "3", SNAKE_ATLAS_MAX_N="2")
     assert r.returncode == 3
-    assert "size 2" in r.stdout and "size 3" in r.stdout
+    assert r.stdout == ""
     assert r.stderr == "family 'rsi-b' enumeration: n=3 exceeds ceiling 2\n"
+
+
+def test_census_checks_the_default_ceiling_before_any_size():
+    """``--n 9`` stops at once, not after computing every size up to 8."""
+    env = {k: v for k, v in os.environ.items() if k != "SNAKE_ATLAS_MAX_N"}
+    path = os.pathsep.join([str(ROOT / "src"), env.get("PYTHONPATH", "")])
+    r = subprocess.run([sys.executable, str(ROOT / "scripts" / "bijection_census.py"),
+                        "--n", "9"], capture_output=True, text=True, timeout=30,
+                       env={**env, "PYTHONPATH": path})
+    assert (r.returncode, r.stdout) == (3, "")
+    assert r.stderr == "family 'rsi-b' enumeration: n=9 exceeds ceiling 8\n"
 
 
 @pytest.mark.parametrize("name, args", [("bijection_census.py", ("--n", "2")),

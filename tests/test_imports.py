@@ -3,9 +3,10 @@
 ``import snake_atlas`` loads no submodule, and importing a submodule
 loads only the modules it imports.  The package still offers every name
 it offered when it imported all of them eagerly: the same 89 public
-names, each the same object as the owning submodule's attribute.  Each
-check runs in a fresh interpreter, so modules that other tests loaded
-do not count.
+names, each the same object as the owning submodule's attribute.
+``import snake_atlas.cli`` loads no engine module but ``errors``, and a
+CLI request loads only its subcommand's modules.  Each check runs in a
+fresh interpreter, so modules that other tests loaded do not count.
 """
 import json
 import os
@@ -94,6 +95,42 @@ def test_engine_imports_load_neither_dataclasses_nor_inspect():
     for after in (bulk, "import snake_atlas.verify"):
         assert not {"dataclasses", "inspect"} & set(fresh(_heavy(after)))
     assert fresh(_heavy(bulk), "-S") == []
+
+
+@pytest.mark.parametrize("module", ["permutations", "bijections"])
+def test_the_family_table_loads_no_typing(module):
+    """``permutations._Family`` is a ``collections.namedtuple``, so the
+    family and bijection paths load no ``typing``, ``re`` or ``enum``
+    (without ``site``, which may import ``typing`` itself)."""
+    assert fresh(_heavy(f"import snake_atlas.{module}"), "-S") == []
+
+
+def test_cli_import_loads_no_engine_module():
+    assert fresh("import snake_atlas.cli; " + LOADED) == ["snake_atlas.cli", "snake_atlas.errors"]
+
+
+#: One request per subcommand, with the engine modules it loads besides
+#: ``cli`` and ``errors``: its handler's and the modules those import.
+SUBCOMMAND_MODULES = {
+    ("triangle", "--kind", "entringer", "--n", "3"): ("polynomials", "triangles"),
+    ("poly", "--which", "P", "--n", "1"): ("polynomials", "triangles"),
+    ("poly", "--which", "P", "--n", "1", "--q"):
+        ("forests", "polynomials", "qcalculus", "trees"),
+    ("family", "--name", "rsi", "--n", "3"): ("permutations",),
+    ("bijection", "--name", "phi1", "--input", "[1]"):
+        ("bijections", "forests", "permutations", "trees"),
+    ("verify", "--check", "eq-1", "--n-max", "1"):
+        ("bijections", "fixtures", "forests", "permutations", "polynomials",
+         "qcalculus", "trees", "triangles", "verify"),
+}
+
+
+@pytest.mark.parametrize("argv", list(SUBCOMMAND_MODULES), ids=" ".join)
+def test_a_request_loads_only_its_subcommands_modules(argv):
+    loaded = fresh("import contextlib, io\nfrom snake_atlas.cli import main\n"
+                   "with contextlib.redirect_stdout(io.StringIO()):\n"
+                   f"    assert main({list(argv)!r}) == 0\n" + LOADED)
+    assert loaded == sorted(f"snake_atlas.{m}" for m in ("cli", "errors", *SUBCOMMAND_MODULES[argv]))
 
 
 def test_public_names_are_the_eager_ones():
