@@ -5,31 +5,66 @@ all sizes up to its depth and reports the first discrepancy as a
 counterexample.  Checks are deterministic and independent; default
 depths keep each one comfortably inside a minute.  A check that hits an
 enumeration ceiling reports status "error" instead of aborting a run.
+
+Each check reads its maps, statistics and enumerators from this
+module's globals.  An engine name is bound here on its first use: by
+``run_check``, for every name a check's code reads, or by a read from
+outside.  A name already here, a wrapper or a patch, is never rebound.
 """
 from __future__ import annotations
 
 import time
 from collections import Counter
 from copy import deepcopy
+from importlib import import_module
+from types import CodeType
 
 from . import fixtures as fx
-from .bijections import (phi1, phi1_d, phi1_d_inv, phi1_inv, phi2, phi2_d,
-                         phi2_d_inv, phi2_inv, zeta1, zeta1_inv, zeta2,
-                         zeta2_inv)
 from .errors import LimitError
-from .forests import emp_forest, enumerate_forests, is_all_white, last_root
-from .permutations import (enumerate_family, gae, is_member, npk, nva,
-                           shrink_last_entry, subword)
 from .polynomials import LaurentPoly, Value
-from .qcalculus import (BiPoly, QPoly, forest_step_weights, qpoly_P, qpoly_Q,
-                        qpoly_R, tree_step_weights, weighted_sum_forests,
-                        weighted_sum_trees)
-from .trees import (_rightmost_end, emp, enumerate_trees, in_left_class,
-                    inorder_word, is_starred, psi_cap, psi_cap_inv, psi_circ,
-                    psi_circ_inv, psi_star, psi_star_inv, rmlab)
-from .triangles import (arnold, arnold_poly, entringer, gamma_arrays,
-                        hoffman_P, hoffman_Q, hoffman_R,
-                        hoffman_triangle_identity)
+
+#: Each engine module, with the names the checks read from it.
+_ENGINE = {
+    "bijections": "phi1 phi1_d phi1_d_inv phi1_inv phi2 phi2_d phi2_d_inv phi2_inv"
+                  " zeta1 zeta1_inv zeta2 zeta2_inv",
+    "forests": "emp_forest enumerate_forests is_all_white last_root",
+    "permutations": "enumerate_family gae is_member npk nva shrink_last_entry subword",
+    "qcalculus": "BiPoly QPoly forest_step_weights qpoly_P qpoly_Q qpoly_R"
+                 " tree_step_weights weighted_sum_forests weighted_sum_trees",
+    "trees": "_rightmost_end emp enumerate_trees in_left_class inorder_word"
+             " is_starred psi_cap psi_cap_inv psi_circ psi_circ_inv psi_star"
+             " psi_star_inv rmlab",
+    "triangles": "arnold arnold_poly entringer gamma_arrays hoffman_P hoffman_Q"
+                 " hoffman_R hoffman_triangle_identity",
+}
+_OWNER = {name: mod for mod, names in _ENGINE.items() for name in names.split()}
+_WALKED = set()  # code objects whose engine names are bound
+
+
+def __getattr__(name):
+    """Bind an engine name here on its first use (PEP 562).  Python calls
+    this only for a name not here, so a wrapper or patch here stays."""
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_OWNER[name]}", __package__), name)
+    return value
+
+
+def _bind_reads(code) -> None:
+    """Bind every engine name ``code`` reads, following its nested
+    functions and lambdas and the helpers defined here that it calls."""
+    if code in _WALKED:
+        return
+    _WALKED.add(code)
+    g = globals()
+    for name in code.co_names:
+        if name in _OWNER and name not in g:
+            __getattr__(name)
+        elif getattr(g.get(name), "__globals__", None) is g:
+            _bind_reads(g[name].__code__)
+    for const in code.co_consts:
+        if isinstance(const, CodeType):
+            _bind_reads(const)
 
 
 class CheckReport(Value):
@@ -605,6 +640,7 @@ def run_check(check_id: str, n_max: int | None = None) -> CheckReport:
         raise ValueError(f"unknown check id {check_id!r}")
     default, fn = CHECKS[check_id]
     depth = default if n_max is None else int(n_max)
+    _bind_reads(fn.__code__)
     start = time.perf_counter()
     try:
         counterexample = fn(depth)

@@ -5,8 +5,9 @@ loads only the modules it imports.  The package still offers every name
 it offered when it imported all of them eagerly: the same 89 public
 names, each the same object as the owning submodule's attribute.
 ``import snake_atlas.cli`` loads no engine module but ``errors``, and a
-CLI request loads only its subcommand's modules.  Each check runs in a
-fresh interpreter, so modules that other tests loaded do not count.
+CLI request loads only its subcommand's modules, and a verify check
+only the modules of the engine names its code reads.  Each import check
+runs in a fresh interpreter, so modules that other tests loaded do not count.
 """
 import json
 import os
@@ -120,8 +121,7 @@ SUBCOMMAND_MODULES = {
     ("bijection", "--name", "phi1", "--input", "[1]"):
         ("bijections", "forests", "permutations", "trees"),
     ("verify", "--check", "eq-1", "--n-max", "1"):
-        ("bijections", "fixtures", "forests", "permutations", "polynomials",
-         "qcalculus", "trees", "triangles", "verify"),
+        ("fixtures", "polynomials", "triangles", "verify"),
 }
 
 
@@ -131,6 +131,63 @@ def test_a_request_loads_only_its_subcommands_modules(argv):
                    "with contextlib.redirect_stdout(io.StringIO()):\n"
                    f"    assert main({list(argv)!r}) == 0\n" + LOADED)
     assert loaded == sorted(f"snake_atlas.{m}" for m in ("cli", "errors", *SUBCOMMAND_MODULES[argv]))
+
+
+#: The checks that may load ``bijections``, and those that may load
+#: ``qcalculus``.
+BIJECTION_CHECKS = {"prop-4-2", "prop-4-5", "prop-5-1", "prop-5-3", "thm-4-5", "thm-5-4"}
+Q_CHECKS = {"thm-6-1", "thm-6-2", "tables-fixtures"}
+
+
+@pytest.mark.parametrize("check_id", sorted(snake_atlas.verify.CHECKS))
+def test_each_check_passes_alone_and_loads_only_what_it_reads(check_id):
+    """``run_check`` binds every engine name a check reads, so a check run
+    first in its process finds none unbound, and loads no other module."""
+    report, loaded = fresh("import json, sys\nfrom snake_atlas.verify import run_check\n"
+                           f"r = run_check({check_id!r}, 2).to_json()\n"
+                           "print(json.dumps([r, sorted(m for m in sys.modules "
+                           "if m.startswith('snake_atlas.'))]))")
+    assert report["status"] == "pass", report
+    assert "snake_atlas.bijections" not in loaded or check_id in BIJECTION_CHECKS
+    assert "snake_atlas.qcalculus" not in loaded or check_id in Q_CHECKS
+
+
+#: A wrapper that adds 1 to ``emp`` of the tree ``T3`` (star class,
+#: rmlab 3), and the thm-2-2 counterexample it causes at depth 3.
+WRONG_EMP = """
+import json
+from snake_atlas import trees, verify
+T3 = (1, "e", (2, "e", (3,)))
+def wrong(t):
+    return trees.emp(t) + (t == T3)
+"""
+P3_FAILS = {"inputs": "P_3 from trees", "expected": "2+8t^2+6t^4",
+            "actual": "2+7t^2+t^3+6t^4"}
+
+
+def test_a_name_assigned_before_any_read_is_never_rebound():
+    unbound, report = fresh(WRONG_EMP + """
+unbound = "emp" not in vars(verify)
+verify.emp = wrong
+print(json.dumps([unbound, verify.run_check("thm-2-2", 3).to_json()]))
+""")
+    assert unbound
+    assert (report["status"], report["counterexample"]) == ("fail", P3_FAILS)
+
+
+def test_a_name_assigned_after_a_checks_first_run_is_what_it_calls_next():
+    first, second = fresh(WRONG_EMP + """
+first = verify.run_check("thm-2-2", 3).to_json()
+verify.emp = wrong
+print(json.dumps([first, verify.run_check("thm-2-2", 3).to_json()]))
+""")
+    assert first["status"] == "pass"
+    assert (second["status"], second["counterexample"]) == ("fail", P3_FAILS)
+
+
+def test_an_unknown_verify_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="'snake_atlas.verify' has no attribute 'nope'"):
+        snake_atlas.verify.nope
 
 
 def test_public_names_are_the_eager_ones():
