@@ -6,10 +6,17 @@ counterexample.  Checks are deterministic and independent; default
 depths keep each one comfortably inside a minute.  A check that hits an
 enumeration ceiling reports status "error" instead of aborting a run.
 
+A check states each comparison with ``_expect``.  The first one that
+fails raises ``_Mismatch``, which ends the check, and ``run_check``
+reports it as the counterexample; a check that returns has passed.  The
+texts of a comparison are written only when it fails.
+
 Each check reads its maps, statistics and enumerators from this
 module's globals.  An engine name is bound here on its first use: by
 ``run_check``, for every name a check's code reads, or by a read from
 outside.  A name already here, a wrapper or a patch, is never rebound.
+A check's code counts as bound only once every name it reaches is, so
+threads that start the same check at once each find all of them bound.
 """
 from __future__ import annotations
 
@@ -38,7 +45,7 @@ _ENGINE = {
                  " hoffman_R hoffman_triangle_identity",
 }
 _OWNER = {name: mod for mod, names in _ENGINE.items() for name in names.split()}
-_WALKED = set()  # code objects whose engine names are bound
+_WALKED = set()  # code objects whose reachable engine names are all bound
 
 
 def __getattr__(name):
@@ -46,25 +53,28 @@ def __getattr__(name):
     this only for a name not here, so a wrapper or patch here stays."""
     if name not in _OWNER:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(import_module(f".{_OWNER[name]}", __package__), name)
-    return value
+    return globals().setdefault(
+        name, getattr(import_module(f".{_OWNER[name]}", __package__), name))
 
 
 def _bind_reads(code) -> None:
     """Bind every engine name ``code`` reads, following its nested
-    functions and lambdas and the helpers defined here that it calls."""
-    if code in _WALKED:
-        return
-    _WALKED.add(code)
-    g = globals()
-    for name in code.co_names:
-        if name in _OWNER and name not in g:
-            __getattr__(name)
-        elif getattr(g.get(name), "__globals__", None) is g:
-            _bind_reads(g[name].__code__)
-    for const in code.co_consts:
-        if isinstance(const, CodeType):
-            _bind_reads(const)
+    functions and lambdas and the helpers defined here that it calls.
+    The code objects walked are marked only after all their names are
+    bound, so a thread that finds a code marked can run it at once."""
+    g, seen, todo = globals(), set(), [code]
+    while todo:
+        code = todo.pop()
+        if code in seen or code in _WALKED:
+            continue
+        seen.add(code)
+        for name in code.co_names:
+            if name in _OWNER and name not in g:
+                __getattr__(name)
+            elif getattr(g.get(name), "__globals__", None) is g:
+                todo.append(g[name].__code__)
+        todo += [const for const in code.co_consts if isinstance(const, CodeType)]
+    _WALKED.update(seen)
 
 
 class CheckReport(Value):
@@ -83,8 +93,25 @@ class CheckReport(Value):
         return {f: deepcopy(getattr(self, f)) for f in self.__slots__}
 
 
-def _fail(inputs, expected, actual) -> dict:
-    return {"inputs": inputs, "expected": str(expected), "actual": str(actual)}
+class _Mismatch(Exception):
+    """A check's first failed comparison; ``args[0]`` is its counterexample."""
+
+
+def _expect(actual, expected, inputs, args=(), ok=None) -> None:
+    """Go on if ``actual == expected``, or if ``ok`` is true for a test that
+    is not an equality; else end the running check with this comparison as
+    its counterexample.  Its texts are written only then: the tuple
+    ``args`` fills the template ``inputs`` (or is passed to it, if it is a
+    function) and a string ``expected``, and any other value is written
+    with ``str``.  Checks pass every argument by position: a call with a
+    keyword or with ``*args`` takes CPython's slower general call path,
+    which made a verify-all pass measurably slower."""
+    if actual == expected if ok is None else ok:
+        return
+    if isinstance(expected, str):
+        expected = expected.format(*args)
+    inputs = inputs(*args) if callable(inputs) else inputs.format(*args)
+    raise _Mismatch({"inputs": inputs, "expected": str(expected), "actual": str(actual)})
 
 
 def _family_poly(members, weight) -> LaurentPoly:
@@ -101,48 +128,44 @@ def _class_sums(trees) -> dict:
     return {key: LaurentPoly.from_terms(c) for key, c in terms.items()}
 
 
-def _bijection_fail(dom, fwd, inv, image_fail, cod, missing):
-    """Map each member of ``dom``, test its image with ``image_fail``
-    (a counterexample or None) and round-trip it through ``inv``; then
-    compare the images with ``cod`` as sets, returning ``missing`` when
-    they differ.  The round trips make the map injective on ``dom``, so
-    equal sets make it a bijection onto ``cod``."""
+def _expect_bijection(dom, fwd, inv, image_test, cod, inputs, expected, actual, args):
+    """Map each member of ``dom``, test its image with ``image_test`` and
+    round-trip it through ``inv``; then compare the images with ``cod`` as
+    sets, a comparison that ``inputs``, ``expected``, ``actual`` and
+    ``args`` describe.  The round trips make the map injective on ``dom``,
+    so equal sets make it a bijection onto ``cod``."""
     images = set()
     for w in dom:
         x = fwd(w)
-        bad = image_fail(w, x)
-        if bad:
-            return bad
-        back = inv(x)
-        if back != w:
-            return _fail(f"round trip {w}", w, back)
+        image_test(w, x)
+        _expect(inv(x), w, "round trip {}", (w,))
         images.add(x)
-    return None if images == set(cod) else missing
+    _expect(actual, expected, inputs, args, images == set(cod))
 
 
 def _emp_transport(n: int, stat):
     """Image test: the forest has n - 2*stat(w) empty leaves."""
-    def image_fail(w, f):
-        if emp_forest(f) != n - 2 * stat(w):
-            return _fail(f"emp transport {w}", n - 2 * stat(w), emp_forest(f))
-        return None
-    return image_fail
+    def image_test(w, f):
+        _expect(emp_forest(f), n - 2 * stat(w), "emp transport {}", (w,))
+    return image_test
 
 
 def _member_of(cod, what: str):
     """Image test: the word lies in the set ``cod``."""
-    def image_fail(w, v):
-        return None if v in cod else _fail(f"image of {w}", what, v)
-    return image_fail
+    def image_test(w, v):
+        _expect(v, what, "image of {}", (w,), v in cod)
+    return image_test
 
 
 def _worked_example(fwd, inv, example):
     a, b = example
-    if fwd(a) != b:
-        return _fail("worked example", b, fwd(a))
-    if inv(b) != a:
-        return _fail("worked example inverse", a, inv(b))
-    return None
+    _expect(fwd(a), b, "worked example")
+    _expect(inv(b), a, "worked example inverse")
+
+
+def _round_trip(name: str, t) -> str:
+    """The inputs of a psi map's round trip: the tree's inorder word."""
+    return f"{name} round trip {inorder_word(t)}"
 
 
 def _fixture_bipoly(d) -> BiPoly:
@@ -154,70 +177,54 @@ def _fixture_bipoly(d) -> BiPoly:
 
 def check_eq_1(n_max: int):
     tri = entringer(n_max)
-    if tri.entries[(1, 1)] != 1:
-        return _fail("E(1,1)", 1, tri.entries[(1, 1)])
+    _expect(tri.entries[(1, 1)], 1, "E(1,1)")
     for r in range(2, n_max + 1):
-        if tri.entries[(r, 1)] != 0:
-            return _fail(f"E({r},1)", 0, tri.entries[(r, 1)])
+        _expect(tri.entries[(r, 1)], 0, "E({},1)", (r,))
         for k in range(2, r + 1):
             want = tri.entries[(r, k - 1)] + tri.entries[(r - 1, r - k + 1)]
-            if tri.entries[(r, k)] != want:
-                return _fail(f"E({r},{k})", want, tri.entries[(r, k)])
+            _expect(tri.entries[(r, k)], want, "E({},{})", (r, k))
     for r in range(1, min(n_max, 8) + 1):
-        if tri.row_sum(r) != fx.EULER[r]:
-            return _fail(f"row sum {r}", fx.EULER[r], tri.row_sum(r))
-    return None
+        _expect(tri.row_sum(r), fx.EULER[r], "row sum {}", (r,))
 
 
 def check_eq_2(n_max: int):
     tri = arnold(n_max)
     for r in range(2, n_max + 1):
-        if tri.value(r, -r) != 0:
-            return _fail(f"v({r},{-r})", 0, tri.value(r, -r))
+        _expect(tri.value(r, -r), 0, "v({},{})", (r, -r))
         for k in range(1, r):
             want = tri.value(r, -k - 1) + tri.value(r - 1, k)
-            if tri.value(r, -k) != want:
-                return _fail(f"v({r},{-k})", want, tri.value(r, -k))
-        if tri.value(r, 1) != tri.value(r, -1):
-            return _fail(f"v({r},1)", tri.value(r, -1), tri.value(r, 1))
+            _expect(tri.value(r, -k), want, "v({},{})", (r, -k))
+        _expect(tri.value(r, 1), tri.value(r, -1), "v({},1)", (r,))
         for k in range(2, r + 1):
             want = tri.value(r, k - 1) + tri.value(r - 1, -k + 1)
-            if tri.value(r, k) != want:
-                return _fail(f"v({r},{k})", want, tri.value(r, k))
+            _expect(tri.value(r, k), want, "v({},{})", (r, k))
     for r in range(1, min(n_max, 8) + 1):
-        if tri.positive_sum(r) != fx.SPRINGER_B[r]:
-            return _fail(f"positive row sum {r}", fx.SPRINGER_B[r], tri.positive_sum(r))
-        if tri.negative_sum(r) != fx.SPRINGER_D[r]:
-            return _fail(f"negative row sum {r}", fx.SPRINGER_D[r], tri.negative_sum(r))
+        _expect(tri.positive_sum(r), fx.SPRINGER_B[r], "positive row sum {}", (r,))
+        _expect(tri.negative_sum(r), fx.SPRINGER_D[r], "negative row sum {}", (r,))
     for r in range(1, min(n_max, 6) + 1):
         for k, want in fx.ARNOLD_TRIANGLE[r].items():
-            if tri.value(r, k) != want:
-                return _fail(f"table cell ({r},{k})", want, tri.value(r, k))
-    return None
+            _expect(tri.value(r, k), want, "table cell ({},{})", (r, k))
 
 
 def check_eq_5(n_max: int):
     tri = arnold_poly(n_max)
     ints = arnold(n_max)
     for r in range(1, n_max + 1):
+        parity = 0 if r % 2 == 1 else 1
         for k in tri.signed_columns(r):
             p = tri.value(r, k)
-            if not p.is_zero() and p.min_exp < 0:
-                return _fail(f"V({r},{k}) exponent", ">= 0", p.min_exp)
-            if p(1) != ints.value(r, k):
-                return _fail(f"V({r},{k}) at t=1", ints.value(r, k), p(1))
-            if any(c < 0 for c in p.coeffs):
-                return _fail(f"V({r},{k}) coefficients", ">= 0", str(p))
+            _expect(p.min_exp, ">= 0", "V({},{}) exponent", (r, k),
+                    p.is_zero() or p.min_exp >= 0)
+            _expect(p(1), ints.value(r, k), "V({},{}) at t=1", (r, k))
+            _expect(p, ">= 0", "V({},{}) coefficients", (r, k),
+                    not any(c < 0 for c in p.coeffs))
             if k > 0 and not p.is_zero():
-                want_parity = 0 if r % 2 == 1 else 1
-                if any(c != 0 and e % 2 != want_parity for e, c in p.terms().items()):
-                    return _fail(f"V({r},{k}) parity", f"exponents = {want_parity} mod 2", str(p))
+                _expect(p, "exponents = {2} mod 2", "V({},{}) parity", (r, k, parity),
+                        not any(c != 0 and e % 2 != parity for e, c in p.terms().items()))
     for r in range(1, min(n_max, 5) + 1):
         for k, terms in fx.V_TRIANGLE[r].items():
-            want = LaurentPoly.from_terms(terms)
-            if tri.value(r, k) != want:
-                return _fail(f"table cell ({r},{k})", want, tri.value(r, k))
-    return None
+            _expect(tri.value(r, k), LaurentPoly.from_terms(terms), "table cell ({},{})",
+                    (r, k))
 
 
 def check_thm_1_1(n_max: int):
@@ -225,37 +232,27 @@ def check_thm_1_1(n_max: int):
         tri = arnold(n)
         counts = Counter(w[0] for w in enumerate_family("snakes", n))
         for k in tri.signed_columns(n):
-            if counts[k] != tri.value(n, k):
-                return _fail(f"n={n}, first entry {k}", tri.value(n, k), counts[k])
-    return None
+            _expect(counts[k], tri.value(n, k), "n={}, first entry {}", (n, k))
 
 
 def check_thm_1_2(n_max: int):
     for n in range(1, n_max + 1):
-        if not hoffman_triangle_identity(n):
-            return _fail(f"n={n}", "triangle sums equal Q_n and P_n - t Q_n", "mismatch")
+        _expect("mismatch", "triangle sums equal Q_n and P_n - t Q_n", "n={}", (n,),
+                hoffman_triangle_identity(n))
     for n in range(1, min(n_max, 8) + 1):
         p1, q1 = hoffman_P(n)(1), hoffman_Q(n)(1)
-        if p1 != 2**n * fx.EULER[n]:
-            return _fail(f"P_{n}(1)", 2**n * fx.EULER[n], p1)
-        if q1 != fx.SPRINGER_B[n]:
-            return _fail(f"Q_{n}(1)", fx.SPRINGER_B[n], q1)
-        if p1 - q1 != fx.SPRINGER_D[n]:
-            return _fail(f"P_{n}(1)-Q_{n}(1)", fx.SPRINGER_D[n], p1 - q1)
-    return None
+        _expect(p1, 2**n * fx.EULER[n], "P_{}(1)", (n,))
+        _expect(q1, fx.SPRINGER_B[n], "Q_{}(1)", (n,))
+        _expect(p1 - q1, fx.SPRINGER_D[n], "P_{0}(1)-Q_{0}(1)", (n,))
 
 
 def check_thm_2_2(n_max: int):
     for n in range(1, n_max + 1):
         trees = enumerate_trees(n)
-        p = _family_poly(trees, emp)
-        if p != hoffman_P(n):
-            return _fail(f"P_{n} from trees", hoffman_P(n), p)
+        _expect(_family_poly(trees, emp), hoffman_P(n), "P_{} from trees", (n,))
         q = _family_poly((t for t in trees if not is_starred(t)),
                          lambda t: emp(t) - 1)
-        if q != hoffman_Q(n):
-            return _fail(f"Q_{n} from trees", hoffman_Q(n), q)
-    return None
+        _expect(q, hoffman_Q(n), "Q_{} from trees", (n,))
 
 
 def check_thm_2_3(n_max: int):
@@ -265,19 +262,14 @@ def check_thm_2_3(n_max: int):
         for k in range(1, n + 1):
             circ = sums.get((False, n - k + 1), LaurentPoly.zero())
             star = sums.get((True, n - k + 1), LaurentPoly.zero())
-            if circ != tri.value(n, k):
-                return _fail(f"circ sum n={n} k={k}", tri.value(n, k), circ)
-            if star != tri.value(n, -k):
-                return _fail(f"star sum n={n} k={k}", tri.value(n, -k), star)
-    return None
+            _expect(circ, tri.value(n, k), "circ sum n={} k={}", (n, k))
+            _expect(star, tri.value(n, -k), "star sum n={} k={}", (n, k))
 
 
 def check_thm_2_7(n_max: int):
     for n in range(1, n_max + 1):
         got = _family_poly(enumerate_family("rsi", n), lambda w: n - 2 * npk(w))
-        if got != hoffman_R(n):
-            return _fail(f"R_{n} over type-I Simsun", hoffman_R(n), got)
-    return None
+        _expect(got, hoffman_R(n), "R_{} over type-I Simsun", (n,))
 
 
 def _signed_cells(n: int, b_family: str, b_anchor: str, d_family: str,
@@ -289,32 +281,22 @@ def _signed_cells(n: int, b_family: str, b_anchor: str, d_family: str,
     for k in range(1, n + 1):
         b = _family_poly(enumerate_family(b_family, n, (b_anchor, n - k + 1)),
                          lambda w: n + 1 - 2 * stat(w))
-        if b != tri.value(n, k):
-            return _fail(f"B-side n={n} k={k}", tri.value(n, k), b)
+        _expect(b, tri.value(n, k), "B-side n={} k={}", (n, k))
         d = _family_poly(enumerate_family(d_family, n, (d_anchor, -(n - k + 1))),
                          lambda w: n - 1 - 2 * stat(w))
-        if d != tri.value(n, -k):
-            return _fail(f"D-side n={n} k={k}", tri.value(n, -k), d)
-    return None
+        _expect(d, tri.value(n, -k), "D-side n={} k={}", (n, k))
 
 
 def check_thm_2_10(n_max: int):
     for n in range(1, n_max + 1):
-        bad = _signed_cells(n, "rsi-b", "last", "rsi-d", "last", npk)
-        if bad:
-            return bad
-    return None
+        _signed_cells(n, "rsi-b", "last", "rsi-d", "last", npk)
 
 
 def check_thm_2_13(n_max: int):
     for n in range(1, n_max + 1):
         got = _family_poly(enumerate_family("rsii", n), lambda w: n - 2 * nva(w))
-        if got != hoffman_R(n):
-            return _fail(f"R_{n} over type-II Simsun", hoffman_R(n), got)
-        bad = _signed_cells(n, "rsii-b", "gae", "rsii-d", "first", nva)
-        if bad:
-            return bad
-    return None
+        _expect(got, hoffman_R(n), "R_{} over type-II Simsun", (n,))
+        _signed_cells(n, "rsii-b", "gae", "rsii-d", "first", nva)
 
 
 def check_conj_2_9(n_max: int):
@@ -322,9 +304,7 @@ def check_conj_2_9(n_max: int):
         tri = arnold(n)
         for k in range(1, n + 1):
             count = len(enumerate_family("rsi-b", n, ("last", n - k + 1)))
-            if count != tri.value(n, k):
-                return _fail(f"n={n} k={k}", tri.value(n, k), count)
-    return None
+            _expect(count, tri.value(n, k), "n={} k={}", (n, k))
 
 
 def check_prop_3_1(n_max: int):
@@ -334,36 +314,28 @@ def check_prop_3_1(n_max: int):
         prev, sums = sums, _class_sums(trees)
         z = LaurentPoly.zero()
         for k in range(2, n + 1):
-            lhs = sums.get((True, k), z)
             rhs = sums.get((True, k - 1), z) + prev.get((False, k - 1), z).shift(-1)
-            if lhs != rhs:
-                return _fail(f"(i) n={n} k={k}", rhs, lhs)
+            _expect(sums.get((True, k), z), rhs, "(i) n={} k={}", (n, k))
         if n >= 2:
-            if sums.get((False, n), z) != sums.get((True, n), z).shift(2):
-                return _fail(f"(ii) n={n}", sums.get((True, n), z).shift(2),
-                             sums.get((False, n), z))
+            _expect(sums.get((False, n), z), sums.get((True, n), z).shift(2), "(ii) n={}",
+                    (n,))
         for k in range(1, n):
-            lhs = sums.get((False, k), z)
             rhs = sums.get((False, k + 1), z) + prev.get((True, k), z).shift(1)
-            if lhs != rhs:
-                return _fail(f"(iii) n={n} k={k}", rhs, lhs)
+            _expect(sums.get((False, k), z), rhs, "(iii) n={} k={}", (n, k))
         # exhaustive bijectivity with round trips
         for t in trees:
             if is_starred(t):
                 if rmlab(t) >= 2:
                     out, case = psi_star(t)
                     back, c2 = psi_star_inv(out)
-                    if back != t or c2 != case:
-                        return _fail(f"psi_star round trip {inorder_word(t)}", t, back)
+                    _expect(back, t, _round_trip, ("psi_star", t), back == t and c2 == case)
                 if rmlab(t) == n:
-                    if psi_cap_inv(psi_cap(t)) != t:
-                        return _fail(f"psi_cap round trip {inorder_word(t)}", t, "mismatch")
+                    _expect("mismatch", t, _round_trip, ("psi_cap", t),
+                            psi_cap_inv(psi_cap(t)) == t)
             elif rmlab(t) <= n - 1:
                 out, case = psi_circ(t)
                 back, c2 = psi_circ_inv(out)
-                if back != t or c2 != case:
-                    return _fail(f"psi_circ round trip {inorder_word(t)}", t, back)
-    return None
+                _expect(back, t, _round_trip, ("psi_circ", t), back == t and c2 == case)
 
 
 def check_cor_3_2(n_max: int):
@@ -374,18 +346,14 @@ def check_cor_3_2(n_max: int):
         circ = z  # circ sums of size n - 1 at rmlab 1..k-1
         for k in range(2, n + 1):
             circ = circ + prev.get((False, k - 1), z)
-            if sums.get((True, k), z) != circ.shift(-1):
-                return _fail(f"n={n} k={k}", circ.shift(-1), sums.get((True, k), z))
-    return None
+            _expect(sums.get((True, k), z), circ.shift(-1), "n={} k={}", (n, k))
 
 
 def check_cor_3_3(n_max: int):
     for n in range(1, n_max + 1):
         g = gamma_arrays(n)
         total = g.positive_sum(n) + g.negative_sum(n)
-        if total.shift(-1) != hoffman_Q(n):
-            return _fail(f"n={n}", hoffman_Q(n), total.shift(-1))
-    return None
+        _expect(total.shift(-1), hoffman_Q(n), "n={}", (n,))
 
 
 def check_cor_3_4(n_max: int):
@@ -393,51 +361,39 @@ def check_cor_3_4(n_max: int):
         g = gamma_arrays(n)
         counts = Counter(w[0] for w in enumerate_family("gamma-snakes", n))
         for k in g.signed_columns(n):
-            if counts[k] != g.value(n, k)(1):
-                return _fail(f"n={n} first entry {k}", g.value(n, k)(1), counts[k])
+            _expect(counts[k], g.value(n, k)(1), "n={} first entry {}", (n, k))
         # leftmost-leaf restriction matches the polynomial cells
         sums = _class_sums(filter(in_left_class, enumerate_trees(n)))
         z = LaurentPoly.zero()
         for k in range(1, n + 1):
-            if sums.get((False, n - k + 1), z) != g.value(n, k):
-                return _fail(f"circ cell n={n} k={k}", g.value(n, k),
-                             sums.get((False, n - k + 1), z))
-            if sums.get((True, n - k + 1), z) != g.value(n, -k):
-                return _fail(f"star cell n={n} k={k}", g.value(n, -k),
-                             sums.get((True, n - k + 1), z))
-    return None
+            _expect(sums.get((False, n - k + 1), z), g.value(n, k), "circ cell n={} k={}",
+                    (n, k))
+            _expect(sums.get((True, n - k + 1), z), g.value(n, -k), "star cell n={} k={}",
+                    (n, k))
 
 
 def check_eq_13(n_max: int):
     for n in range(1, n_max + 1):
-        got = _family_poly(enumerate_forests(n), emp_forest)
-        if got != hoffman_R(n):
-            return _fail(f"R_{n} over forests", hoffman_R(n), got)
-    return None
+        _expect(_family_poly(enumerate_forests(n), emp_forest), hoffman_R(n),
+                "R_{} over forests", (n,))
 
 
 def check_prop_4_2(n_max: int):
     for n in range(1, n_max + 1):
-        bad = _bijection_fail(enumerate_family("rsi", n), phi1, phi1_inv,
-                              _emp_transport(n, npk), enumerate_forests(n),
-                              _fail(f"image coverage n={n}", "all forests", "missing images"))
-        if bad:
-            return bad
+        _expect_bijection(enumerate_family("rsi", n), phi1, phi1_inv, _emp_transport(n, npk),
+                          enumerate_forests(n), "image coverage n={}", "all forests",
+                          "missing images", (n,))
         for k in range(1, n + 1):
             for w in enumerate_family("rsi-b", n, ("last", k)):
                 f = phi1(w)
-                if not is_all_white(f) or last_root(f) != k:
-                    return _fail(f"B-refinement {w}", f"white forest, last root {k}", f)
+                _expect(f, "white forest, last root {1}", "B-refinement {0}", (w, k),
+                        is_all_white(f) and last_root(f) == k)
     # worked example: restriction subwords and image statistics
     w = fx.TYPE1_EXAMPLE
     for j, sub in enumerate(fx.TYPE1_EXAMPLE_SUBWORDS, start=1):
-        if subword(w, j) != sub:
-            return _fail(f"table subword j={j}", sub, subword(w, j))
-    if emp_forest(phi1(w)) != len(w) - 2 * npk(w):
-        return _fail("example emp", len(w) - 2 * npk(w), emp_forest(phi1(w)))
-    if phi1_inv(phi1(w)) != w:
-        return _fail("example round trip", w, phi1_inv(phi1(w)))
-    return None
+        _expect(subword(w, j), sub, "table subword j={}", (j,))
+    _expect(emp_forest(phi1(w)), len(w) - 2 * npk(w), "example emp")
+    _expect(phi1_inv(phi1(w)), w, "example round trip")
 
 
 def _onto_star_trees(n_max: int, family: str, anchor: str, fwd, inv, stat):
@@ -446,164 +402,131 @@ def _onto_star_trees(n_max: int, family: str, anchor: str, fwd, inv, stat):
     empty leaves."""
     for n in range(2, n_max + 1):
         for k in range(2, n + 1):
-            def image_fail(w, t):
-                if not is_starred(t) or rmlab(t) != k:
-                    return _fail(f"class of {w}", f"star, rightmost {k}", t)
-                if emp(t) != n - 1 - 2 * stat(w):
-                    return _fail(f"emp of {w}", n - 1 - 2 * stat(w), emp(t))
-                return None
-            bad = _bijection_fail(enumerate_family(family, n, (anchor, -k)), fwd, inv,
-                                  image_fail, enumerate_trees(n, starred=True, rightmost=k),
-                                  _fail(f"coverage n={n} k={k}", "all star trees", "missing"))
-            if bad:
-                return bad
-    return None
+            def image_test(w, t):
+                _expect(t, "star, rightmost {1}", "class of {0}", (w, k),
+                        is_starred(t) and rmlab(t) == k)
+                _expect(emp(t), n - 1 - 2 * stat(w), "emp of {}", (w,))
+            _expect_bijection(enumerate_family(family, n, (anchor, -k)), fwd, inv, image_test,
+                              enumerate_trees(n, starred=True, rightmost=k),
+                              "coverage n={} k={}", "all star trees", "missing", (n, k))
 
 
 def check_prop_4_5(n_max: int):
-    bad = _onto_star_trees(n_max, "rsi-d", "last", phi1_d, phi1_d_inv, npk)
-    if bad:
-        return bad
+    _onto_star_trees(n_max, "rsi-d", "last", phi1_d, phi1_d_inv, npk)
     src, tgt = fx.TYPE1_D_EXAMPLE
-    if shrink_last_entry(src) != tgt:
-        return _fail("shrinking example", tgt, shrink_last_entry(src))
-    return None
+    _expect(shrink_last_entry(src), tgt, "shrinking example")
 
 
 def check_thm_4_5(n_max: int):
     for n in range(1, n_max + 1):
         dom = enumerate_family("adi", n + 1)
         cod = set(enumerate_family("rsi", n))
-        bad = _bijection_fail(dom, zeta1, zeta1_inv, _member_of(cod, "type-I Simsun member"),
-                              cod, _fail(f"coverage n={n}", "all members", "missing"))
-        if bad:
-            return bad
+        _expect_bijection(dom, zeta1, zeta1_inv, _member_of(cod, "type-I Simsun member"), cod,
+                          "coverage n={}", "all members", "missing", (n,))
         for k in range(1, n + 1):
             for w in enumerate_family("adi-b", n + 1, ("last", k + 1)):
                 u = zeta1(w)
-                if not is_member(u, "rsi-b") or u[-1] != k:
-                    return _fail(f"B index of {w}", f"last entry {k}", u)
+                _expect(u, "last entry {1}", "B index of {0}", (w, k),
+                        is_member(u, "rsi-b") and u[-1] == k)
             for w in enumerate_family("adi-d", n + 1, ("last", -k - 1)):
                 u = zeta1(w)
-                if not is_member(u, "rsi-d") or u[-1] != -k:
-                    return _fail(f"D index of {w}", f"last entry {-k}", u)
-    return _worked_example(zeta1, zeta1_inv, fx.ZETA1_EXAMPLE)
+                _expect(u, "last entry {1}", "D index of {0}", (w, -k),
+                        is_member(u, "rsi-d") and u[-1] == -k)
+    _worked_example(zeta1, zeta1_inv, fx.ZETA1_EXAMPLE)
 
 
 def check_prop_5_1(n_max: int):
     for n in range(1, n_max + 1):
-        bad = _bijection_fail(enumerate_family("rsii", n), phi2, phi2_inv,
-                              _emp_transport(n, nva), enumerate_forests(n),
-                              _fail(f"image coverage n={n}", "all forests", "missing images"))
-        if bad:
-            return bad
+        _expect_bijection(enumerate_family("rsii", n), phi2, phi2_inv, _emp_transport(n, nva),
+                          enumerate_forests(n), "image coverage n={}", "all forests",
+                          "missing images", (n,))
         for w in enumerate_family("rsii-b", n):
-            f = phi2(w)
-            if not is_all_white(f) or last_root(f) != gae(w):
-                return _fail(f"B-refinement {w}", f"white forest, last root {gae(w)}", f)
+            f, g = phi2(w), gae(w)
+            _expect(f, "white forest, last root {1}", "B-refinement {0}", (w, g),
+                    is_all_white(f) and last_root(f) == g)
     w = fx.TYPE2_EXAMPLE
     for j, sub in enumerate(fx.TYPE2_EXAMPLE_SUBWORDS, start=1):
-        if subword(w, j) != sub:
-            return _fail(f"table subword j={j}", sub, subword(w, j))
-    if phi2_inv(phi2(w)) != w:
-        return _fail("example round trip", w, phi2_inv(phi2(w)))
-    return None
+        _expect(subword(w, j), sub, "table subword j={}", (j,))
+    _expect(phi2_inv(phi2(w)), w, "example round trip")
 
 
 def check_prop_5_3(n_max: int):
-    return _onto_star_trees(n_max, "rsii-d", "first", phi2_d, phi2_d_inv, nva)
+    _onto_star_trees(n_max, "rsii-d", "first", phi2_d, phi2_d_inv, nva)
 
 
 def check_thm_5_4(n_max: int):
     for n in range(1, n_max + 1):
         dom = enumerate_family("adii", n + 1)
         cod = set(enumerate_family("rsii", n))
-        bad = _bijection_fail(dom, zeta2, zeta2_inv, _member_of(cod, "type-II Simsun member"),
-                              cod, _fail(f"coverage n={n}", "all members", "missing"))
-        if bad:
-            return bad
+        _expect_bijection(dom, zeta2, zeta2_inv, _member_of(cod, "type-II Simsun member"), cod,
+                          "coverage n={}", "all members", "missing", (n,))
         for k in range(1, n + 1):
             for w in enumerate_family("adii-b", n + 1, ("last", k + 1)):
                 u = zeta2(w)
-                if not is_member(u, "rsii-b") or gae(u) != k:
-                    return _fail(f"B index of {w}", f"greatest augmenting {k}", u)
+                _expect(u, "greatest augmenting {1}", "B index of {0}", (w, k),
+                        is_member(u, "rsii-b") and gae(u) == k)
             for w in enumerate_family("adii-d", n + 1, ("first", -k - 1)):
                 u = zeta2(w)
-                if not is_member(u, "rsii-d") or u[0] != -k:
-                    return _fail(f"D index of {w}", f"first entry {-k}", u)
-    return _worked_example(zeta2, zeta2_inv, fx.ZETA2_EXAMPLE)
+                _expect(u, "first entry {1}", "D index of {0}", (w, -k),
+                        is_member(u, "rsii-d") and u[0] == -k)
+    _worked_example(zeta2, zeta2_inv, fx.ZETA2_EXAMPLE)
 
 
 def check_thm_6_1(n_max: int):
     for n in range(1, n_max + 1):
-        got = weighted_sum_trees(n)
-        want = qpoly_P(n)
-        if got != want:
-            return _fail(f"n={n}", want.to_json(), got.to_json())
-    if not any(tree_step_weights(t) == fx.TREE_WEIGHT_EXAMPLE for t in enumerate_trees(5)):
-        return _fail("weight example", fx.TREE_WEIGHT_EXAMPLE, "not attained")
-    return None
+        got, want = weighted_sum_trees(n), qpoly_P(n)
+        _expect(got.to_json(), want.to_json(), "n={}", (n,), got == want)
+    _expect("not attained", fx.TREE_WEIGHT_EXAMPLE, "weight example", (),
+            any(tree_step_weights(t) == fx.TREE_WEIGHT_EXAMPLE for t in enumerate_trees(5)))
 
 
 def check_thm_6_2(n_max: int):
     for n in range(1, n_max + 1):
-        got = weighted_sum_forests(n)
-        if got != qpoly_R(n):
-            return _fail(f"all forests n={n}", qpoly_R(n).to_json(), got.to_json())
-        gotw = weighted_sum_forests(n, white_only=True)
-        if gotw != qpoly_Q(n):
-            return _fail(f"white forests n={n}", qpoly_Q(n).to_json(), gotw.to_json())
-    if not any(forest_step_weights(f) == fx.FOREST_WEIGHT_EXAMPLE
-               for f in enumerate_forests(6)):
-        return _fail("weight example", fx.FOREST_WEIGHT_EXAMPLE, "not attained")
-    return None
+        got, want = weighted_sum_forests(n), qpoly_R(n)
+        _expect(got.to_json(), want.to_json(), "all forests n={}", (n,), got == want)
+        got, want = weighted_sum_forests(n, white_only=True), qpoly_Q(n)
+        _expect(got.to_json(), want.to_json(), "white forests n={}", (n,), got == want)
+    _expect("not attained", fx.FOREST_WEIGHT_EXAMPLE, "weight example", (),
+            any(forest_step_weights(f) == fx.FOREST_WEIGHT_EXAMPLE
+                for f in enumerate_forests(6)))
 
 
 def check_tables_fixtures(n_max: int):
     e = entringer(8)
     for n in range(1, 9):
-        if e.row_sum(n) != fx.EULER[n]:
-            return _fail(f"zigzag row sum {n}", fx.EULER[n], e.row_sum(n))
+        _expect(e.row_sum(n), fx.EULER[n], "zigzag row sum {}", (n,))
     a = arnold(6)
     for n, row in fx.ARNOLD_TRIANGLE.items():
         for k, v in row.items():
-            if a.value(n, k) != v:
-                return _fail(f"signed triangle ({n},{k})", v, a.value(n, k))
+            _expect(a.value(n, k), v, "signed triangle ({},{})", (n, k))
     V = arnold_poly(5)
     for n, row in fx.V_TRIANGLE.items():
         for k, terms in row.items():
-            if V.value(n, k) != LaurentPoly.from_terms(terms):
-                return _fail(f"polynomial triangle ({n},{k})",
-                             LaurentPoly.from_terms(terms), V.value(n, k))
+            _expect(V.value(n, k), LaurentPoly.from_terms(terms),
+                    "polynomial triangle ({},{})", (n, k))
     G = gamma_arrays(6)
     for n, row in fx.GAMMA_POLY_TRIANGLE.items():
         for k, terms in row.items():
-            if G.value(n, k) != LaurentPoly.from_terms(terms):
-                return _fail(f"restricted triangle ({n},{k})",
-                             LaurentPoly.from_terms(terms), G.value(n, k))
+            _expect(G.value(n, k), LaurentPoly.from_terms(terms),
+                    "restricted triangle ({},{})", (n, k))
     for n, row in fx.GAMMA_TRIANGLE.items():
         for k, v in row.items():
-            if G.value(n, k)(1) != v:
-                return _fail(f"restricted counts ({n},{k})", v, G.value(n, k)(1))
+            _expect(G.value(n, k)(1), v, "restricted counts ({},{})", (n, k))
     for n in range(1, 6):
         for fn, table, name in ((hoffman_P, fx.P_LIST, "P"),
                                 (hoffman_Q, fx.Q_LIST, "Q"),
                                 (hoffman_R, fx.R_LIST, "R")):
-            if fn(n) != LaurentPoly.from_terms(table[n]):
-                return _fail(f"{name}_{n}", LaurentPoly.from_terms(table[n]), fn(n))
+            _expect(fn(n), LaurentPoly.from_terms(table[n]), "{}_{}", (name, n))
     for n in range(1, 4):
         for fn, table, name in ((qpoly_P, fx.P_Q_LIST, "P"),
                                 (qpoly_Q, fx.Q_Q_LIST, "Q"),
                                 (qpoly_R, fx.R_Q_LIST, "R")):
-            if fn(n) != _fixture_bipoly(table[n]):
-                return _fail(f"q-{name}_{n}", _fixture_bipoly(table[n]).to_json(),
-                             fn(n).to_json())
+            got, want = fn(n), _fixture_bipoly(table[n])
+            _expect(got.to_json(), want.to_json(), "q-{}_{}", (name, n), got == want)
     for w, table in ((fx.TYPE1_EXAMPLE, fx.TYPE1_EXAMPLE_SUBWORDS),
                      (fx.TYPE2_EXAMPLE, fx.TYPE2_EXAMPLE_SUBWORDS)):
         for j, sub in enumerate(table, start=1):
-            if subword(w, j) != sub:
-                return _fail(f"subword table {w} level {j}", sub, subword(w, j))
-    return None
+            _expect(subword(w, j), sub, "subword table {} level {}", (w, j))
 
 
 CHECKS = {
@@ -636,14 +559,20 @@ CHECKS = {
 
 
 def run_check(check_id: str, n_max: int | None = None) -> CheckReport:
+    """Run one check at depth ``n_max`` (its default when None).  A check
+    in ``CHECKS`` returns None or a counterexample, or raises ``_Mismatch``."""
     if check_id not in CHECKS:
         raise ValueError(f"unknown check id {check_id!r}")
     default, fn = CHECKS[check_id]
-    depth = default if n_max is None else int(n_max)
+    depth = default if n_max is None else n_max
+    if isinstance(depth, bool) or not isinstance(depth, int) or depth < 1:
+        raise ValueError(f"depth must be an integer >= 1, got {n_max!r}")
     _bind_reads(fn.__code__)
     start = time.perf_counter()
     try:
         counterexample = fn(depth)
+    except _Mismatch as mismatch:
+        counterexample, status = mismatch.args[0], "fail"
     except LimitError as exc:
         counterexample, status = {"error": str(exc)}, "error"
     else:

@@ -185,6 +185,30 @@ print(json.dumps([first, verify.run_check("thm-2-2", 3).to_json()]))
     assert (second["status"], second["counterexample"]) == ("fail", P3_FAILS)
 
 
+def test_threads_that_start_a_check_at_once_find_its_names_bound():
+    """Two threads run the same check first in a fresh process, switching
+    as often as the interpreter allows: neither may find a name of the
+    check unbound while the other is still binding them."""
+    outcomes = fresh("""
+import json, sys, threading
+from snake_atlas.verify import run_check
+sys.setswitchinterval(1e-6)
+outcomes = []
+def run():
+    try:
+        outcomes.append(run_check("prop-4-2", 2).status)
+    except Exception as exc:
+        outcomes.append(repr(exc))
+threads = [threading.Thread(target=run) for _ in range(2)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(60)
+print(json.dumps([outcomes, [t.is_alive() for t in threads]]))
+""")
+    assert outcomes == [["pass", "pass"], [False, False]]
+
+
 def test_an_unknown_verify_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="'snake_atlas.verify' has no attribute 'nope'"):
         snake_atlas.verify.nope

@@ -205,3 +205,140 @@ def test_unattained_weight_example_is_the_counterexample(monkeypatch, check_id,
     assert r.status == "fail"
     assert r.counterexample == {"inputs": "weight example",
                                 "expected": str(missing), "actual": "not attained"}
+
+
+@pytest.mark.parametrize("depth", [0, -1, 2.5, True, "3"])
+def test_a_depth_must_be_an_integer_of_at_least_one(depth):
+    for check_id in CHECKS:
+        with pytest.raises(ValueError, match="depth must be an integer >= 1"):
+            run_check(check_id, depth)
+
+
+# Each check at depth 2: how many comparisons it makes, and the inputs,
+# expected and actual texts it reports when the first of them fails.
+# These are the texts the checks wrote when each comparison had its own
+# fail branch.
+FIRST_MISMATCH = {
+    "conj-2-9": (3, "n=1 k=1", "1", "1"),
+    "cor-3-2": (1, "n=2 k=2", "t", "t"),
+    "cor-3-3": (2, "n=1", "t", "t"),
+    "cor-3-4": (12, "n=1 first entry -1", "0", "0"),
+    "eq-1": (5, "E(1,1)", "1", "1"),
+    "eq-13": (2, "R_1 over forests", "2t", "2t"),
+    "eq-2": (14, "v(2,-2)", "0", "0"),
+    "eq-5": (27, "V(1,-1) exponent", ">= 0", "0"),
+    "prop-3-1": (8, "psi_cap round trip (1,)", "(1,)", "mismatch"),
+    "prop-4-2": (36, "emp transport (-1,)", "1", "1"),
+    "prop-4-5": (5, "class of (1, -2)", "star, rightmost 2", "(1, 'e', (2,))"),
+    "prop-5-1": (35, "emp transport (-1,)", "1", "1"),
+    "prop-5-3": (4, "class of (-2, 1)", "star, rightmost 2", "(1, 'e', (2,))"),
+    "tables-fixtures": (192, "zigzag row sum 1", "1", "1"),
+    "thm-1-1": (6, "n=1, first entry -1", "1", "1"),
+    "thm-1-2": (8, "n=1", "triangle sums equal Q_n and P_n - t Q_n", "mismatch"),
+    "thm-2-10": (6, "B-side n=1 k=1", "t^2", "t^2"),
+    "thm-2-13": (8, "R_1 over type-II Simsun", "2t", "2t"),
+    "thm-2-2": (4, "P_1 from trees", "1+t^2", "1+t^2"),
+    "thm-2-3": (6, "circ sum n=1 k=1", "t^2", "t^2"),
+    "thm-2-7": (2, "R_1 over type-I Simsun", "2t", "2t"),
+    "thm-4-5": (30, "image of (1, -2)", "type-I Simsun member", "(-1,)"),
+    "thm-5-4": (30, "image of (-2, 1)", "type-II Simsun member", "(-1,)"),
+    "thm-6-1": (3, "n=1", "{'t': [[1], [], [1]]}", "{'t': [[1], [], [1]]}"),
+    "thm-6-2": (5, "all forests n=1", "{'t': [[], [1, 1]]}", "{'t': [[], [1, 1]]}"),
+}
+
+
+@pytest.mark.parametrize("check_id", sorted(CHECKS))
+def test_every_comparison_of_a_check_reports_a_counterexample(monkeypatch, check_id):
+    """Make the k-th comparison fail, for every k: each one writes its
+    texts, and the check stops there."""
+    right, seen, fail_at = verify._expect, [0], [0]
+
+    def forced(actual, expected, inputs, args=(), ok=None):
+        seen[0] += 1
+        right(actual, expected, inputs, args, False if seen[0] == fail_at[0] else ok)
+
+    monkeypatch.setattr(verify, "_expect", forced)
+    count, *first = FIRST_MISMATCH[check_id]
+    reports = []
+    for k in range(1, count + 2):
+        seen[0], fail_at[0] = 0, k
+        reports.append(run_check(check_id, 2))
+        assert seen[0] == min(k, count)
+    assert [r.status for r in reports] == ["fail"] * count + ["pass"]
+    for r in reports[:-1]:
+        assert list(r.counterexample) == ["inputs", "expected", "actual"]
+        assert all(isinstance(v, str) and v for v in r.counterexample.values())
+    assert list(reports[0].counterexample.values()) == first
+
+
+# The enumerator calls each check makes at depth 3, in order: a family as
+# its `enumerate_family` arguments, and trees and forests tagged, with
+# their keyword arguments as sorted pairs.  A check not listed enumerates
+# nothing through `verify`.
+ENUMERATIONS = {
+    "conj-2-9": [("rsi-b", 1, ("last", 1)), ("rsi-b", 2, ("last", 2)),
+        ("rsi-b", 2, ("last", 1)), ("rsi-b", 3, ("last", 3)), ("rsi-b", 3, ("last", 2)),
+        ("rsi-b", 3, ("last", 1))],
+    "cor-3-2": [("trees", 1), ("trees", 2), ("trees", 3)],
+    "cor-3-4": [("gamma-snakes", 1), ("trees", 1), ("gamma-snakes", 2), ("trees", 2),
+        ("gamma-snakes", 3), ("trees", 3)],
+    "eq-13": [("forests", 1), ("forests", 2), ("forests", 3)],
+    "prop-3-1": [("trees", 1), ("trees", 2), ("trees", 3)],
+    "prop-4-2": [("rsi", 1), ("forests", 1), ("rsi-b", 1, ("last", 1)), ("rsi", 2),
+        ("forests", 2), ("rsi-b", 2, ("last", 1)), ("rsi-b", 2, ("last", 2)), ("rsi", 3),
+        ("forests", 3), ("rsi-b", 3, ("last", 1)), ("rsi-b", 3, ("last", 2)),
+        ("rsi-b", 3, ("last", 3))],
+    "prop-4-5": [("rsi-d", 2, ("last", -2)),
+        ("trees", 2, ("rightmost", 2), ("starred", True)), ("rsi-d", 3, ("last", -2)),
+        ("trees", 3, ("rightmost", 2), ("starred", True)), ("rsi-d", 3, ("last", -3)),
+        ("trees", 3, ("rightmost", 3), ("starred", True))],
+    "prop-5-1": [("rsii", 1), ("forests", 1), ("rsii-b", 1), ("rsii", 2), ("forests", 2),
+        ("rsii-b", 2), ("rsii", 3), ("forests", 3), ("rsii-b", 3)],
+    "prop-5-3": [("rsii-d", 2, ("first", -2)),
+        ("trees", 2, ("rightmost", 2), ("starred", True)), ("rsii-d", 3, ("first", -2)),
+        ("trees", 3, ("rightmost", 2), ("starred", True)), ("rsii-d", 3, ("first", -3)),
+        ("trees", 3, ("rightmost", 3), ("starred", True))],
+    "thm-1-1": [("snakes", 1), ("snakes", 2), ("snakes", 3)],
+    "thm-2-10": [("rsi-b", 1, ("last", 1)), ("rsi-d", 1, ("last", -1)),
+        ("rsi-b", 2, ("last", 2)), ("rsi-d", 2, ("last", -2)), ("rsi-b", 2, ("last", 1)),
+        ("rsi-d", 2, ("last", -1)), ("rsi-b", 3, ("last", 3)), ("rsi-d", 3, ("last", -3)),
+        ("rsi-b", 3, ("last", 2)), ("rsi-d", 3, ("last", -2)), ("rsi-b", 3, ("last", 1)),
+        ("rsi-d", 3, ("last", -1))],
+    "thm-2-13": [("rsii", 1), ("rsii-b", 1, ("gae", 1)), ("rsii-d", 1, ("first", -1)),
+        ("rsii", 2), ("rsii-b", 2, ("gae", 2)), ("rsii-d", 2, ("first", -2)),
+        ("rsii-b", 2, ("gae", 1)), ("rsii-d", 2, ("first", -1)), ("rsii", 3),
+        ("rsii-b", 3, ("gae", 3)), ("rsii-d", 3, ("first", -3)), ("rsii-b", 3, ("gae", 2)),
+        ("rsii-d", 3, ("first", -2)), ("rsii-b", 3, ("gae", 1)),
+        ("rsii-d", 3, ("first", -1))],
+    "thm-2-2": [("trees", 1), ("trees", 2), ("trees", 3)],
+    "thm-2-3": [("trees", 1), ("trees", 2), ("trees", 3)],
+    "thm-2-7": [("rsi", 1), ("rsi", 2), ("rsi", 3)],
+    "thm-4-5": [("adi", 2), ("rsi", 1), ("adi-b", 2, ("last", 2)),
+        ("adi-d", 2, ("last", -2)), ("adi", 3), ("rsi", 2), ("adi-b", 3, ("last", 2)),
+        ("adi-d", 3, ("last", -2)), ("adi-b", 3, ("last", 3)), ("adi-d", 3, ("last", -3)),
+        ("adi", 4), ("rsi", 3), ("adi-b", 4, ("last", 2)), ("adi-d", 4, ("last", -2)),
+        ("adi-b", 4, ("last", 3)), ("adi-d", 4, ("last", -3)), ("adi-b", 4, ("last", 4)),
+        ("adi-d", 4, ("last", -4))],
+    "thm-5-4": [("adii", 2), ("rsii", 1), ("adii-b", 2, ("last", 2)),
+        ("adii-d", 2, ("first", -2)), ("adii", 3), ("rsii", 2), ("adii-b", 3, ("last", 2)),
+        ("adii-d", 3, ("first", -2)), ("adii-b", 3, ("last", 3)),
+        ("adii-d", 3, ("first", -3)), ("adii", 4), ("rsii", 3), ("adii-b", 4, ("last", 2)),
+        ("adii-d", 4, ("first", -2)), ("adii-b", 4, ("last", 3)),
+        ("adii-d", 4, ("first", -3)), ("adii-b", 4, ("last", 4)),
+        ("adii-d", 4, ("first", -4))],
+    "thm-6-1": [("trees", 5)],
+    "thm-6-2": [("forests", 6)],
+}
+
+
+@pytest.mark.parametrize("check_id", sorted(CHECKS))
+def test_each_check_makes_its_enumerator_calls(monkeypatch, check_id):
+    calls = []
+    for name, tag in (("enumerate_family", ()), ("enumerate_trees", ("trees",)),
+                      ("enumerate_forests", ("forests",))):
+        def recording(*args, _right=getattr(verify, name), _tag=tag, **kw):
+            calls.append((*_tag, *args, *sorted(kw.items())))
+            return _right(*args, **kw)
+        monkeypatch.setattr(verify, name, recording)
+    assert run_check(check_id, 3).status == "pass"
+    assert calls == ENUMERATIONS.get(check_id, [])
