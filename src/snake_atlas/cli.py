@@ -90,34 +90,29 @@ def _use(module: str, name: str):
 @functools.cache
 def _bijections() -> dict:
     """``BIJECTIONS``: name -> (forward, inverse, forward input, forward
-    output, inverse input, inverse output), built on first use."""
+    output, inverse input, inverse output), built on first use from each
+    map's forward and inverse and the (decoder, encoder) pairs of its
+    input and output kinds."""
     b, f, t = (import_module(f".{m}", __package__) for m in ("bijections", "forests", "trees"))
-    return {
-        "gamma": (_no_trace(t.tree_to_snake), _no_trace(t.snake_to_tree),
-                  t._decode_tree, list, _parse_window, t.tree_to_word_json),
-        "mu": (_no_trace(f.tree_to_forest), _no_trace(f.forest_to_tree),
-               t._decode_tree, f.forest_to_json, f._decode_forest, t.tree_to_word_json),
-        "phi1": (b.phi1, b.phi1_inv, _parse_window, f.forest_to_json, f._decode_forest, list),
-        "phi2": (b.phi2, b.phi2_inv, _parse_window, f.forest_to_json, f._decode_forest, list),
-        "phi1-b": (_no_trace(b.phi1_b), _no_trace(b.phi1_b_inv),
-                   _parse_window, t.tree_to_word_json, t._decode_tree, list),
-        "phi1-d": (_no_trace(b.phi1_d), _no_trace(b.phi1_d_inv),
-                   _parse_window, t.tree_to_word_json, t._decode_tree, list),
-        "phi2-b": (_no_trace(b.phi2_b), _no_trace(b.phi2_b_inv),
-                   _parse_window, t.tree_to_word_json, t._decode_tree, list),
-        "phi2-d": (_no_trace(b.phi2_d), _no_trace(b.phi2_d_inv),
-                   _parse_window, t.tree_to_word_json, t._decode_tree, list),
-        "zeta1": (_no_trace(b.zeta1), _no_trace(b.zeta1_inv),
-                  _parse_window, list, _parse_window, list),
-        "zeta2": (_no_trace(b.zeta2), _no_trace(b.zeta2_inv),
-                  _parse_window, list, _parse_window, list),
-        "psi-star": (_with_case(t.psi_star), _with_case(t.psi_star_inv),
-                     t._decode_tree, t.tree_to_word_json, t._decode_tree, t.tree_to_word_json),
-        "psi-circ": (_with_case(t.psi_circ), _with_case(t.psi_circ_inv),
-                     t._decode_tree, t.tree_to_word_json, t._decode_tree, t.tree_to_word_json),
-        "psi-cap": (_no_trace(t.psi_cap), _no_trace(t.psi_cap_inv),
-                    t._decode_tree, t.tree_to_word_json, t._decode_tree, t.tree_to_word_json),
+    window, tree, forest = ((_parse_window, list), (t._decode_tree, t.tree_to_word_json),
+                            (f._decode_forest, f.forest_to_json))
+    maps = {
+        "gamma": (_no_trace(t.tree_to_snake), _no_trace(t.snake_to_tree), tree, window),
+        "mu": (_no_trace(f.tree_to_forest), _no_trace(f.forest_to_tree), tree, forest),
+        "phi1": (b.phi1, b.phi1_inv, window, forest),
+        "phi2": (b.phi2, b.phi2_inv, window, forest),
+        "phi1-b": (_no_trace(b.phi1_b), _no_trace(b.phi1_b_inv), window, tree),
+        "phi1-d": (_no_trace(b.phi1_d), _no_trace(b.phi1_d_inv), window, tree),
+        "phi2-b": (_no_trace(b.phi2_b), _no_trace(b.phi2_b_inv), window, tree),
+        "phi2-d": (_no_trace(b.phi2_d), _no_trace(b.phi2_d_inv), window, tree),
+        "zeta1": (_no_trace(b.zeta1), _no_trace(b.zeta1_inv), window, window),
+        "zeta2": (_no_trace(b.zeta2), _no_trace(b.zeta2_inv), window, window),
+        "psi-star": (_with_case(t.psi_star), _with_case(t.psi_star_inv), tree, tree),
+        "psi-circ": (_with_case(t.psi_circ), _with_case(t.psi_circ_inv), tree, tree),
+        "psi-cap": (_no_trace(t.psi_cap), _no_trace(t.psi_cap_inv), tree, tree),
     }
+    return {name: (fwd, inv, dom[0], cod[1], cod[0], dom[1])
+            for name, (fwd, inv, dom, cod) in maps.items()}
 
 
 def __getattr__(name):

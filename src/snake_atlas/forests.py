@@ -12,12 +12,10 @@ all-white forests, with the path nodes as roots (``tree_to_forest``).
 """
 from __future__ import annotations
 
-from operator import itemgetter
-
 from .errors import MembershipError, enforce_ceiling
-from .trees import (EMPTY, _keyed_trees, _regraft, _splits, _walk_shape, emp,
-                    is_empty, label_from_json, node_from_json,
-                    rightmost_path, tree_to_json, validate_tree)
+from .trees import (EMPTY, _left_choices, _regraft, _walk_shape, emp, is_empty,
+                    label_from_json, node_from_json, rightmost_path,
+                    tree_to_json, validate_tree)
 
 BLACK = "black"
 WHITE = "white"
@@ -71,9 +69,11 @@ def enumerate_forests(n: int, *, white_only: bool = False,
 
     The first component of a forest is rooted at its smallest label, and
     once that component is chosen the labels of the others are fixed.  So
-    the forests over a label tuple, in order, are the sorted choices for
-    the first component, each followed by every forest over the labels it
-    leaves, and no global sort is needed."""
+    the forests over a label tuple, in order, are the choices for the
+    first component, each followed by every forest over the labels it
+    leaves.  A first component is a tree's left choice (its child is the
+    left subtree, the labels it leaves are the right ones), black before
+    white, each in the trees' order (``trees._left_choices``)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     enforce_ceiling("forest enumeration", n, max_n, DEFAULT_FOREST_CEILING)
@@ -85,16 +85,10 @@ def enumerate_forests(n: int, *, white_only: bool = False,
         found = memo.get(labels)
         if found is not None:
             return found
-        root, rest = labels[0], labels[1:]
-        choices = []  # (component key, component, labels left for the rest)
-        for below, left in _splits(rest):
-            for key, child in _keyed_trees(below, trees):
-                for color in colors:
-                    choices.append(((root, color == WHITE) + key,
-                                    (color, root, child), left))
-        choices.sort(key=itemgetter(0))
-        out = memo[labels] = [(comp,) + sub for _, comp, left in choices
-                              for sub in forests_over(left)]
+        root = labels[0]
+        choices = _left_choices(root, labels[1:], trees)
+        comps = [((color, root, child), left) for color in colors for _, child, left in choices]
+        out = memo[labels] = [(comp,) + sub for comp, left in comps for sub in forests_over(left)]
         return out
 
     out = forests_over(tuple(range(1, n + 1)))

@@ -202,6 +202,3 @@ class LaurentPoly(Value):
     @staticmethod
     def from_json(obj: dict) -> "LaurentPoly":
         return LaurentPoly.make(int(obj["min_exp"]), [int(c) for c in obj["coeffs"]])
-
-
-ONE_PLUS_T2 = LaurentPoly.from_terms({0: 1, 2: 1})

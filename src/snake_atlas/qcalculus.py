@@ -140,6 +140,9 @@ class BiPoly(Value):
     def to_json(self) -> dict:
         return {"t": [list(c.coeffs) for c in self.t_coeffs]}
 
+    def __str__(self):
+        return str(self.to_json())
+
     @staticmethod
     def from_json(obj: dict) -> "BiPoly":
         return BiPoly.make([QPoly.make([int(x) for x in c]) for c in obj["t"]])

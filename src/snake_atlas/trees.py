@@ -33,10 +33,6 @@ def is_empty(x) -> bool:
     return x == EMPTY
 
 
-def label(node) -> int:
-    return node[0]
-
-
 def is_leaf(node) -> bool:
     return len(node) == 1
 
@@ -305,12 +301,12 @@ def psi_star(tree):
 
 def psi_star_inv(tree):
     n = validate_tree(tree)
-    k = rmlab(tree) + 1
-    if not is_starred(tree):
-        return _raise_rightmost_leaf(tree, k), "b"
-    if k > n:
+    starred, k = _rightmost_end(tree)
+    if not starred:
+        return _raise_rightmost_leaf(tree, k + 1), "b"
+    if k >= n:
         raise MembershipError("no room to swap the rightmost label up")
-    return _relabel(tree, {k: k - 1, k - 1: k}), "a"
+    return _relabel(tree, {k + 1: k, k: k + 1}), "a"
 
 
 def psi_circ(tree):
@@ -338,9 +334,9 @@ def psi_circ(tree):
 
 def psi_circ_inv(tree):
     validate_tree(tree)
-    if is_starred(tree):
+    starred, k = _rightmost_end(tree)
+    if starred:
         # undo "b-leaf"
-        k = rmlab(tree)
         path = rightmost_path(_shift_labels(tree, k + 1, 1))
         return _regraft(path[:-1], (k, (k + 1,), EMPTY)), "b-leaf"
     path = rightmost_path(tree)
@@ -374,50 +370,39 @@ def psi_cap_inv(tree):
 # -- snake correspondence ------------------------------------------------
 
 def tree_to_snake(tree) -> tuple[int, ...]:
-    """Read the inorder word and turn it into a snake window.
-
-    Each label i becomes n-i+1 with sign (-1)^(j+1), j being the number
-    of empty leaves read after it; the converted word is then reversed.
-    """
+    """The snake window of the inorder word read right to left: label i
+    becomes n-i+1 with sign (-1)^(j+1), j empty leaves being after it."""
     n = validate_tree(tree)
-    word = inorder_word(tree)
-    total_e = word.count(EMPTY)
-    seen_e = 0
     out = []
-    for x in word:
+    odd = False  # the parity of the empty leaves read so far
+    for x in reversed(inorder_word(tree)):
         if x == EMPTY:
-            seen_e += 1
-            continue
-        after = total_e - seen_e
-        sign = 1 if after % 2 == 1 else -1
-        out.append(sign * (n - x + 1))
-    return tuple(reversed(out))
+            odd = not odd
+        else:
+            out.append(n - x + 1 if odd else x - n - 1)
+    return tuple(out)
 
 
 def snake_to_tree(window):
-    """Inverse of tree_to_snake; rejects windows that do not alternate.
-    Every alternating window encodes a tree (thm-1-1)."""
+    """Inverse of tree_to_snake, building the inorder word right to left;
+    rejects windows that do not alternate.  Every alternating window
+    encodes a tree (thm-1-1)."""
     from .permutations import _alternates, check_window
 
     w = check_window(window)
     if not _alternates(w):
         raise MembershipError("input window is not alternating")
     n = len(w)
-    rev = tuple(reversed(w))
-    labels = [n - abs(x) + 1 for x in rev]
-    # parity of the number of empty leaves after each label
-    parity = [(1 if x > 0 else 0) for x in rev]  # odd count <=> positive sign
-    gaps = [0] * (n + 1)  # empty-leaf count before first label and after each
-    for p in range(n - 1):
-        gaps[p + 1] = parity[p] ^ parity[p + 1]
-    gaps[n] = parity[n - 1]
-    total_known = sum(gaps[1:])
-    gaps[0] = (n + 1 - total_known) % 2
-    word = [EMPTY] * gaps[0]
-    for p in range(n):
-        word.append(labels[p])
-        word.extend([EMPTY] * gaps[p + 1])
-    return _from_word(word)
+    word = []  # the inorder word, right to left
+    odd = False  # the parity of the empty leaves placed so far
+    for x in w:
+        if (x > 0) != odd:  # a positive label has an odd count after it
+            word.append(EMPTY)
+            odd = not odd
+        word.append(n - abs(x) + 1)
+    if odd == n % 2:  # a complete tree on n labels has n + 1 empty leaves
+        word.append(EMPTY)
+    return _from_word(reversed(word))
 
 
 # -- JSON ---------------------------------------------------------------

@@ -282,6 +282,53 @@ def test_snake_correspondence_rejects_non_snakes():
         snake_to_tree((1, 2))
 
 
+# The two-pass gamma maps, frozen as the oracle for the one-pass maps in
+# trees: tree_to_snake counts all empty leaves first, and snake_to_tree
+# places them from per-label parity and gap arrays.
+
+def ref_tree_to_snake(tree):
+    n = validate_tree(tree)
+    word = inorder_word(tree)
+    total_e = word.count(EMPTY)
+    seen_e = 0
+    out = []
+    for x in word:
+        if x == EMPTY:
+            seen_e += 1
+            continue
+        after = total_e - seen_e
+        sign = 1 if after % 2 == 1 else -1
+        out.append(sign * (n - x + 1))
+    return tuple(reversed(out))
+
+
+def ref_snake_to_tree(w):
+    """For an alternating window ``w``."""
+    n = len(w)
+    rev = tuple(reversed(w))
+    labels = [n - abs(x) + 1 for x in rev]
+    parity = [(1 if x > 0 else 0) for x in rev]  # odd count <=> positive sign
+    gaps = [0] * (n + 1)  # empty-leaf count before first label and after each
+    for p in range(n - 1):
+        gaps[p + 1] = parity[p] ^ parity[p + 1]
+    gaps[n] = parity[n - 1]
+    total_known = sum(gaps[1:])
+    gaps[0] = (n + 1 - total_known) % 2
+    word = [EMPTY] * gaps[0]
+    for p in range(n):
+        word.append(labels[p])
+        word.extend([EMPTY] * gaps[p + 1])
+    return _from_word(word)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_gamma_maps_match_the_two_pass_reference(n):
+    for t in enumerate_trees(n):
+        assert tree_to_snake(t) == ref_tree_to_snake(t), t
+    for s in enumerate_family("snakes", n):
+        assert snake_to_tree(s) == ref_snake_to_tree(s), s
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_snake_correspondence_is_a_bijection(n):
     trees_n = enumerate_trees(n)

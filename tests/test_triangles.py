@@ -6,7 +6,7 @@ from operator import add
 import pytest
 
 from snake_atlas import fixtures as fx
-from snake_atlas.polynomials import ONE_PLUS_T2, LaurentPoly
+from snake_atlas.polynomials import LaurentPoly
 from snake_atlas.triangles import (arnold, arnold_poly, entringer,
                                    gamma_arrays, hoffman_P, hoffman_Q,
                                    hoffman_R, hoffman_secant_power,
@@ -15,6 +15,9 @@ from snake_atlas.triangles import (arnold, arnold_poly, entringer,
 
 def P(terms):
     return LaurentPoly.from_terms(terms)
+
+
+ONE_PLUS_T2 = P({0: 1, 2: 1})
 
 
 def brute_alternating_count(n, k):
