@@ -46,9 +46,18 @@ def validate_forest(forest) -> int:
 
 
 def emp_forest(forest) -> int:
+    """Number of empty leaves: each child's right spine is walked here,
+    and only inner left subtrees go to ``emp``."""
     total = 0
-    for _, _, child in forest:
-        total += emp(child)
+    for _, _, tree in forest:
+        while len(tree) == 3:
+            _, left, tree = tree
+            if left == EMPTY:
+                total += 1
+            elif len(left) == 3:
+                total += emp(left)
+        if tree == EMPTY:
+            total += 1
     return total
 
 

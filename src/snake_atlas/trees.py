@@ -74,12 +74,23 @@ def validate_tree(tree, n: int | None = None) -> int:
 
 
 def emp(tree) -> int:
-    """Number of empty leaves."""
-    if tree == EMPTY:
-        return 1
-    if len(tree) == 1:
-        return 0
-    return emp(tree[1]) + emp(tree[2])
+    """Number of empty leaves.  One loop walks down each right spine,
+    counting empty left leaves as it passes them; inner left subtrees
+    wait on a stack, so no node costs a call and any depth works."""
+    count = 0
+    lefts = []
+    while True:
+        while len(tree) == 3:
+            _, left, tree = tree
+            if left == EMPTY:
+                count += 1
+            elif len(left) == 3:
+                lefts.append(left)
+        if tree == EMPTY:
+            count += 1
+        if not lefts:
+            return count
+        tree = lefts.pop()
 
 
 def rightmost_path(tree) -> list:

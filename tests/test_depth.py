@@ -1,5 +1,6 @@
-"""Every map, both ways, on trees and forests far deeper than Python's
-recursion limit.
+"""Every map, both ways, and the empty-leaf counts ``emp`` and
+``emp_forest``, on trees and forests far deeper than Python's recursion
+limit.
 
 Deep nested tuples cannot be compared with ``==`` (the comparison
 recurses in C), so trees are compared by their inorder words and
@@ -12,9 +13,9 @@ from snake_atlas.bijections import (phi1, phi1_b, phi1_b_inv, phi1_d,
                                     phi1_d_inv, phi1_inv, phi2, phi2_b,
                                     phi2_b_inv, phi2_d, phi2_d_inv, phi2_inv,
                                     zeta1, zeta1_inv, zeta2, zeta2_inv)
-from snake_atlas.forests import (BLACK, WHITE, forest_to_tree, tree_to_forest,
-                                 validate_forest)
-from snake_atlas.trees import (EMPTY, nodes_to_tree, psi_cap,
+from snake_atlas.forests import (BLACK, WHITE, emp_forest, forest_to_tree,
+                                 tree_to_forest, validate_forest)
+from snake_atlas.trees import (EMPTY, emp, nodes_to_tree, psi_cap,
                                psi_cap_inv, psi_circ, psi_circ_inv, psi_star,
                                psi_star_inv, snake_to_tree, tree_from_word,
                                tree_to_snake, validate_tree)
@@ -66,6 +67,18 @@ def test_shapes_are_valid_and_deep():
     assert word(nodes_to_tree(*tree_nodes(COMB_STAR))) == word(COMB_STAR)
     for forest in FORESTS.values():
         assert validate_forest(forest) == N
+
+
+@pytest.mark.parametrize("tree", [CHAIN, COMB_STAR, COMB_CIRC],
+                         ids=["chain", "comb-star", "comb-circ"])
+def test_emp_counts_the_empty_leaves(tree):
+    assert emp(tree) == word(tree).count(EMPTY)
+
+
+@pytest.mark.parametrize("name", list(FORESTS))
+def test_emp_forest_counts_the_empty_leaves(name):
+    forest = FORESTS[name]
+    assert emp_forest(forest) == sum(w.count(EMPTY) for _, _, w in flat(forest))
 
 
 @pytest.mark.parametrize("fwd, inv, trees", [

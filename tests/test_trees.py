@@ -94,7 +94,7 @@ def test_size_one_trees():
     assert set(enumerate_trees(1)) == {(1,), (1, EMPTY, EMPTY)}
     assert is_starred((1,)) and rmlab((1,)) == 1
     assert not is_starred((1, EMPTY, EMPTY)) and rmlab((1, EMPTY, EMPTY)) == 1
-    assert emp((1,)) == 0 and emp((1, EMPTY, EMPTY)) == 2
+    assert emp((1,)) == 0 and emp((1, EMPTY, EMPTY)) == 2 and emp(EMPTY) == 1
 
 
 def test_class_counts_at_n3():
