@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Run the full verification suite and write a JSON report.
 
-Exit status is nonzero when any check fails, so this doubles as a CI
-gate.  Use --n-max to deepen or shallow every check uniformly."""
+Exit status is that of ``snake-atlas verify``: 0 when every check
+passes, 1 when one fails, 2 for a usage error, and 3 when a check stops
+at an enumeration ceiling, so this doubles as a CI gate.  Use --n-max
+to deepen or shallow every check uniformly."""
 import argparse
 import json
 import sys
 
-from snake_atlas.cli import EXIT_USAGE, _int_at_least
+from snake_atlas.cli import EXIT_USAGE, _int_at_least, _verify_exit
 from snake_atlas.errors import SettingError
 from snake_atlas.verify import run_all
 
@@ -34,9 +36,9 @@ def main():
         with args.out as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
         print(f"report written to {args.out.name}")
-    failures = [r for r in reports if r.status != "pass"]
-    print(f"{len(reports) - len(failures)}/{len(reports)} checks passed")
-    return 1 if failures else 0
+    passed = sum(r.status == "pass" for r in reports)
+    print(f"{passed}/{len(reports)} checks passed")
+    return _verify_exit(reports)
 
 
 if __name__ == "__main__":

@@ -21,7 +21,9 @@ replaying the labels 1..n in order, each inserted into a linked word.
 ``phi2`` and its inverse keep the singular empty leaves on a frontier
 (``_Leaves``): the forest's leaves in arranged order, a linked list over
 int arrays that each step edits where it changes the forest, so a rank
-costs a walk of that list, not a walk of the whole forest.
+costs a walk of that list, not a walk of the whole forest.  Both forward
+maps hold the forest in one flat int array with the frontier's numbering,
+slot (v, i) at 2v + i, and build its tuples once at the end.
 
 ``zeta1``/``zeta2`` shift signed Andre permutations of size n+1 down to
 signed Simsun permutations of size n by sliding entries along the
@@ -43,15 +45,18 @@ from .permutations import (_FAMILIES, check_window, expand_first_entry,
                            _first_bad_level, _linked, _member,
                            _minima_positive, _rl_min_positions)
 from .trees import (EMPTY, _lower_rightmost_leaf, _raise_rightmost_leaf,
-                    _rightmost_end, _subtrees, validate_tree)
+                    _rightmost_end, validate_tree)
 
 
-def _forest(colors: dict, kids: dict) -> tuple:
-    """The forest of a node map keyed by label: a root holds its one child
-    slot (``[EMPTY]`` or ``[label]``), an inner node its two (``[l, r]``),
-    a labelled leaf ``None``; ``colors`` holds the roots' colors."""
-    built = _subtrees(kids)  # a root's entry is (root, child)
-    return tuple((colors[root],) + built[root] for root in sorted(colors))
+def _forest(colors: dict, kid: list) -> tuple:
+    """The forest of a slot array: ``kid[2v + i]`` holds the label in slot
+    (v, i), 0 when it is empty, and ``kid[2v]`` is -1 for a labelled leaf
+    v; a root's one slot is (v, 0), and ``colors`` holds its color."""
+    built = [EMPTY] * (len(kid) // 2)  # built[0]: an empty slot
+    for k in range(len(built) - 1, 0, -1):
+        left = kid[2 * k]
+        built[k] = (k,) if left < 0 else (k, built[left], built[kid[2 * k + 1]])
+    return tuple((colors[root], root, built[kid[2 * root]]) for root in sorted(colors))
 
 
 def _link(prv: list, nxt: list, a: int, s: int) -> None:
@@ -79,10 +84,10 @@ class _Leaves:
         _link(self.prv, self.nxt, self.prv[1] if white else 0, 2 * j)
         self.lone[2 * j] = 1
 
-    def open(self, s: int, leaf: bool) -> None:
+    def open(self, s: int) -> None:
         """Slot s of a terminal node is to be filled: its other slot, grown
-        first when the node is a labelled leaf, becomes singular."""
-        if leaf:
+        first when s is a labelled leaf's left slot, becomes singular."""
+        if not s & 1:
             _link(self.prv, self.nxt, s, s + 1)
         self.lone[s ^ 1] = 1
 
@@ -221,7 +226,7 @@ def _phi1(w, chain, trace: bool = False):
     n = len(w)
     prv, nxt, at = chain
     key = [0] + [abs(x) for x in w] + [n + 1]
-    colors, kids = {}, {}
+    colors, kid = {}, [0] * (2 * n + 2)  # kid: the slots of ``_forest``
     steps = []
     for j in range(1, n + 1):
         p = at[j]
@@ -229,25 +234,19 @@ def _phi1(w, chain, trace: bool = False):
         x = w[p - 1]
         if c > n:
             colors[j] = WHITE if x > 0 else BLACK
-            kids[j] = [EMPTY]
             steps.append(("i", "new-root", j))
         elif key[a] < key[c]:
             v = abs(w[c - 1])
-            kid = kids[v]
-            kid[kid.index(EMPTY)] = j
-            kids[j] = [EMPTY, EMPTY] if x > 0 else None
+            kid[2 * v + (kid[2 * v] > 0)] = j  # v's first empty slot
             steps.append(("ii", "fill-intermediate", v))
         else:
             y = w[a - 1]
-            v = abs(y)
-            if y > 0:
-                kids[v][1] = j
-            else:
-                kids[v] = [j, EMPTY]
-            kids[j] = [EMPTY, EMPTY] if x > 0 else None
+            kid[2 * abs(y) + (y > 0)] = j  # a labelled leaf's left slot, else a right one
             steps.append(("iii", "attach-at-peak", y))
+        if x < 0 and c <= n:
+            kid[2 * j] = -1  # a labelled leaf
         nxt[a] = prv[c] = p
-    forest = _forest(colors, kids)
+    forest = _forest(colors, kid)
     return (forest, steps) if trace else forest
 
 
@@ -292,7 +291,7 @@ def _phi2(w, chain, trace: bool = False):
     n = len(w)
     prv, nxt, at = chain
     val = [-n - 1] + list(w) + [n + 1]
-    colors, kids = {}, {}
+    colors, kid = {}, [0] * (2 * n + 2)  # kid: the slots of ``_forest``
     leaves = _Leaves(n)
     steps = []
     for j in range(1, n + 1):
@@ -301,7 +300,6 @@ def _phi2(w, chain, trace: bool = False):
         x, y, z = val[p], val[a], val[c]
         if (c > n and x > 0) or (a == 0 and x < 0):
             colors[j] = WHITE if x > 0 else BLACK
-            kids[j] = [EMPTY]
             leaves.root(j, x > 0)
             steps.append(("i", "new-root", j))
         else:
@@ -312,23 +310,19 @@ def _phi2(w, chain, trace: bool = False):
                     rank += val[prv[q]] < val[q] < val[nxt[q]]
                     q = nxt[q]
                 s = leaves.singular(rank)
-                kids[s >> 1][s & 1] = j
                 steps.append(("ii", "fill-singular", rank + 1))
             elif abs(y) < abs(z):
-                v = -z
-                kids[v] = [j, EMPTY]
-                s = 2 * v
-                leaves.open(s, True)
+                s = -2 * z
+                leaves.open(s)
                 steps.append(("iii", "under-heavy-bottom", z))
             else:
-                kids[y][1] = j
                 s = 2 * y + 1
-                leaves.open(s, False)
+                leaves.open(s)
                 steps.append(("iii", "under-heavy-top", y))
-            kids[j] = [EMPTY, EMPTY] if x > 0 else None
+            kid[s], kid[2 * j] = j, -(x < 0)  # -1: j is a labelled leaf
             leaves.put(s, j, x > 0)
         nxt[a] = prv[c] = p
-    forest = _forest(colors, kids)
+    forest = _forest(colors, kid)
     return (forest, steps) if trace else forest
 
 
@@ -358,7 +352,7 @@ def _phi2_inv(forest, trace: bool = False):
         s = 2 * v + i
         if terminal:
             _link(prv, nxt, v if signs[v] > 0 else prv[v], j)
-            leaves.open(s, signs[v] < 0)
+            leaves.open(s)
             steps.append(("at-terminal", v))
         else:
             rank = r = leaves.rank(s)

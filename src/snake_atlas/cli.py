@@ -210,15 +210,20 @@ def _verify_options(p):
     p.add_argument("--n-max", type=_int_at_least(1), default=None)
 
 
+def _verify_exit(reports) -> int:
+    """3 if a check stopped at a ceiling (status "error"), else 1 if one failed, else 0."""
+    if any(r.status == "error" for r in reports):
+        return EXIT_CEILING
+    return 0 if all(r.status == "pass" for r in reports) else EXIT_VERIFY_FAIL
+
+
 def _verify(args) -> int:
     if args.check == "all":
         reports = _use("verify", "run_all")(args.n_max)
     else:
         reports = [_use("verify", "run_check")(args.check, args.n_max)]
     _emit([r.to_json() for r in reports])
-    if any(r.status == "error" for r in reports):
-        return EXIT_CEILING
-    return 0 if all(r.status == "pass" for r in reports) else EXIT_VERIFY_FAIL
+    return _verify_exit(reports)
 
 
 # subcommand -> (help, handler, its options).  Each options function

@@ -172,27 +172,18 @@ def tree_from_word(word):
     return tree
 
 
-# -- mutable node-map form (bijections._forest) -------------------------
+# -- node-map form (tests, perfbench/querygen.py) -----------------------
 
-def _subtrees(nodes: dict) -> dict:
-    """Label -> ``(label, *children)`` for every entry of a node map, built
-    in decreasing label order: children carry larger labels.  A node map
-    sends a label to None (a labelled leaf), ``[left, right]`` or, for a
-    forest root, ``[child]``; a slot holds EMPTY or a label."""
+def nodes_to_tree(root: int, nodes: dict):
+    """The tree at ``root`` of a node map: ``nodes[k]`` is None for a
+    labelled leaf k, else ``[left, right]``, each slot EMPTY or a larger
+    label.  The labels may be any increasing set; the subtrees are built
+    once, in decreasing label order."""
     built = {EMPTY: EMPTY}
     for k in sorted(nodes, reverse=True):
         kids = nodes[k]
-        if kids is None:
-            built[k] = (k,)
-        elif len(kids) == 2:
-            built[k] = (k, built[kids[0]], built[kids[1]])
-        else:
-            built[k] = (k, built[kids[0]])
-    return built
-
-
-def nodes_to_tree(root: int, nodes: dict):
-    return _subtrees(nodes)[root]
+        built[k] = (k,) if kids is None else (k, built[kids[0]], built[kids[1]])
+    return built[root]
 
 
 def _relabel(tree, mapping):

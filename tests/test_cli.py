@@ -438,6 +438,14 @@ def test_run_checks_rejects_an_unwritable_report_path_before_any_check(tmp_path)
     assert "argument --out: can't open" in r.stderr and "Traceback" not in r.stderr
 
 
+def test_run_checks_past_the_ceiling_exits_3_like_verify():
+    """Checks that stop at a ceiling report status error, not a failure."""
+    r = run_script("run_checks.py", "--n-max", "3", SNAKE_ATLAS_MAX_N="2")
+    assert r.returncode == 3
+    assert r.stderr == ""
+    assert r.stdout.endswith("6/25 checks passed\n")
+
+
 @pytest.mark.parametrize("n", ["0", "-2"])
 def test_print_tables_size_below_one_is_a_usage_error(n):
     r = run_script("print_tables.py", "--n", n)
