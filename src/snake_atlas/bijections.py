@@ -72,7 +72,8 @@ class _Leaves:
     as a doubly linked list over flat int arrays from a head 0 to a tail 1.
     Item ``2v + i`` is the slot (v, i); a labelled leaf v, which has no
     slots, is ``2v``.  ``lone[s]`` marks a singular empty leaf, its node's
-    only empty slot."""
+    only empty slot.  A walk that passes all 2n + 2 items without ending
+    has met a cycle, a fault in this module, and raises ``RuntimeError``."""
 
     def __init__(self, n: int):
         self.prv = [0] * (2 * n + 2)
@@ -105,19 +106,23 @@ class _Leaves:
         """The number of singular leaves before item s."""
         lone, nxt = self.lone, self.nxt
         r, q = 0, nxt[0]
-        while q != s:
+        for _ in nxt:  # at most one step per item
+            if q == s:
+                return r
             r += lone[q]
             q = nxt[q]
-        return r
+        raise RuntimeError(f"frontier walk passed {len(nxt)} items without reaching item {s}")
 
     def singular(self, rank: int) -> int:
         """The singular leaf of this rank, or the tail 1 past the last."""
         lone, nxt = self.lone, self.nxt
         q = nxt[0]
-        while q != 1 and (rank or not lone[q]):
+        for _ in nxt:  # at most one step per item
+            if q == 1 or not rank and lone[q]:
+                return q
             rank -= lone[q]
             q = nxt[q]
-        return q
+        raise RuntimeError(f"frontier walk passed {len(nxt)} items without reaching the tail")
 
 
 def _require_family(w, family: str, name: str):
@@ -392,14 +397,20 @@ def phi1_d(window):
     return _raise_rightmost_leaf(_forest_to_tree(_phi1(u, chain)), k)
 
 
-def phi1_d_inv(tree):
+def _d_inv(tree, name: str, core_inv, expand):
+    """A -d inverse: lower the labelled rightmost leaf k >= 2, invert the
+    white forest of that tree with ``core_inv`` and ``expand`` it by k."""
     validate_tree(tree)
     starred, k = _rightmost_end(tree)
     if not starred:
-        raise MembershipError("phi1_d_inv: rightmost leaf must be labelled")
+        raise MembershipError(f"{name}: rightmost leaf must be labelled")
     if k < 2:
-        raise MembershipError("phi1_d_inv: rightmost label must be >= 2")
-    return expand_last_entry(_phi1_inv(_tree_to_forest(_lower_rightmost_leaf(tree))), k)
+        raise MembershipError(f"{name}: rightmost label must be >= 2")
+    return expand(core_inv(_tree_to_forest(_lower_rightmost_leaf(tree))), k)
+
+
+def phi1_d_inv(tree):
+    return _d_inv(tree, "phi1_d_inv", _phi1_inv, expand_last_entry)
 
 
 def phi2_b(window):
@@ -418,13 +429,7 @@ def phi2_d(window):
 
 
 def phi2_d_inv(tree):
-    validate_tree(tree)
-    starred, k = _rightmost_end(tree)
-    if not starred:
-        raise MembershipError("phi2_d_inv: rightmost leaf must be labelled")
-    if k < 2:
-        raise MembershipError("phi2_d_inv: rightmost label must be >= 2")
-    return expand_first_entry(_phi2_inv(_tree_to_forest(_lower_rightmost_leaf(tree))), k)
+    return _d_inv(tree, "phi2_d_inv", _phi2_inv, expand_first_entry)
 
 
 # -- zeta maps -------------------------------------------------------------

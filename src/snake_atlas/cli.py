@@ -152,7 +152,7 @@ def _triangle(args) -> int:
 def _family_options(p):
     p.add_argument("--name", required=True, choices=sorted(_use("permutations", "FAMILY_TAGS")))
     p.add_argument("--n", type=_int_at_least(1), required=True)
-    p.add_argument("--anchor", choices=["first", "last", "gae"])
+    p.add_argument("--anchor", choices=list(_use("permutations", "_ANCHORS")))
     p.add_argument("--value", type=int)
 
 

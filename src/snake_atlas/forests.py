@@ -141,10 +141,8 @@ def _forest_to_tree(forest):
 # -- JSON ---------------------------------------------------------------
 
 def forest_to_json(forest) -> dict:
-    return {"components": [
-        {"color": color, "root": root,
-         "child": "empty" if is_empty(child) else tree_to_json(child)}
-        for color, root, child in forest]}
+    return {"components": [{"color": color, "root": root, "child": tree_to_json(child)}
+                           for color, root, child in forest]}
 
 
 def _decode_forest(obj) -> tuple:
@@ -156,9 +154,7 @@ def _decode_forest(obj) -> tuple:
     for c in obj["components"]:
         if not isinstance(c, dict) or not {"color", "root", "child"} <= c.keys():
             raise ValueError(f"bad forest component {c!r}")
-        child = c["child"]
-        comps.append((c["color"], label_from_json(c["root"]),
-                      EMPTY if child == "empty" else node_from_json(child)))
+        comps.append((c["color"], label_from_json(c["root"]), node_from_json(c["child"])))
     return tuple(sorted(comps, key=lambda c: c[1]))
 
 

@@ -243,6 +243,10 @@ def _last(u) -> int:
     return u[-1]
 
 
+# The anchors of ``enumerate_family``'s constraint, each with the entry it reads.
+_ANCHORS = {"first": lambda w: w[0], "last": _last, "gae": _gae_or_zero}
+
+
 _FAMILIES = {
     "snakes": _Family(None),
     "gamma-snakes": _Family(None, gamma=True),
@@ -368,7 +372,7 @@ def enumerate_family(family: str, n: int, constraint=None, *, max_n=None):
     enforce_ceiling(f"family {family!r} enumeration", n, max_n, DEFAULT_PERM_CEILING)
     if constraint is not None:
         anchor, value = constraint
-        key = {"first": lambda w: w[0], "last": _last, "gae": _gae_or_zero}.get(anchor)
+        key = _ANCHORS.get(anchor)
         if key is None:
             raise ValueError(f"unknown anchor {anchor!r}")
 

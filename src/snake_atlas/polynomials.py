@@ -15,6 +15,17 @@ from operator import add, attrgetter
 _set = object.__setattr__
 
 
+def _convolve(a, b) -> list[int]:
+    """The coefficient run of the product of two coefficient runs; all
+    zeros (or empty) when either run is empty."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
 class Value:
     """Immutable value: a subclass names its fields in ``__slots__`` and sets
     them in ``__init__`` with ``_set``.  Objects of one class compare and
@@ -130,15 +141,7 @@ class LaurentPoly(Value):
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
-        if self.is_zero() or other.is_zero():
-            return LaurentPoly.zero()
-        cs = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                cs[i + j] += a * b
-        return LaurentPoly.make(self.min_exp + other.min_exp, cs)
+        return LaurentPoly.make(self.min_exp + other.min_exp, _convolve(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 

@@ -25,7 +25,7 @@ from collections.abc import Iterable
 
 from .errors import enforce_ceiling
 from .forests import BLACK, DEFAULT_FOREST_CEILING, validate_forest
-from .polynomials import LaurentPoly, Value, _set
+from .polynomials import LaurentPoly, Value, _convolve, _set
 from .trees import (DEFAULT_TREE_CEILING, EMPTY, _keyed_trees, _splits, emp,
                     validate_tree)
 
@@ -77,14 +77,7 @@ class QPoly(Value):
         return self + QPoly.make([-c for c in other.coeffs])
 
     def __mul__(self, other: "QPoly") -> "QPoly":
-        if self.is_zero() or other.is_zero():
-            return QPoly.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return QPoly.make(out)
+        return QPoly.make(_convolve(self.coeffs, other.coeffs))
 
     def __call__(self, q: int) -> int:
         return sum(c * q**i for i, c in enumerate(self.coeffs))

@@ -59,15 +59,13 @@ def _walk_shape(node, lo: int, labels: list) -> None:
             return
 
 
-def validate_tree(tree, n: int | None = None) -> int:
+def validate_tree(tree) -> int:
     """Check completeness, label coverage and the increasing property."""
     labels = []
     _walk_shape(tree, 0, labels)
     size = len(labels)
     if sorted(labels) != list(range(1, size + 1)):
         raise ValueError("labels must be exactly 1..n")
-    if n is not None and size != n:
-        raise ValueError(f"expected {n} labels, found {size}")
     if size == 0:
         raise ValueError("tree must have at least one labelled node")
     return size

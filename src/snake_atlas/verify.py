@@ -26,25 +26,16 @@ from copy import deepcopy
 from importlib import import_module
 from types import CodeType
 
+from . import _OWNER as _EXPORTED
 from . import fixtures as fx
 from .errors import LimitError
 from .polynomials import LaurentPoly, Value
 
-#: Each engine module, with the names the checks read from it.
-_ENGINE = {
-    "bijections": "phi1 phi1_d phi1_d_inv phi1_inv phi2 phi2_d phi2_d_inv phi2_inv"
-                  " zeta1 zeta1_inv zeta2 zeta2_inv",
-    "forests": "emp_forest enumerate_forests is_all_white last_root",
-    "permutations": "enumerate_family gae is_member npk nva shrink_last_entry subword",
-    "qcalculus": "BiPoly QPoly forest_step_weights qpoly_P qpoly_Q qpoly_R"
-                 " tree_step_weights weighted_sum_forests weighted_sum_trees",
-    "trees": "_rightmost_end emp enumerate_trees in_left_class inorder_word"
-             " is_starred psi_cap psi_cap_inv psi_circ psi_circ_inv psi_star"
-             " psi_star_inv rmlab",
-    "triangles": "arnold arnold_poly entringer gamma_arrays hoffman_P hoffman_Q"
-                 " hoffman_R hoffman_triangle_identity",
-}
-_OWNER = {name: mod for mod, names in _ENGINE.items() for name in names.split()}
+#: The owner of each engine name: the package's table, plus the names the
+#: checks read that the package does not re-export.
+_OWNER = {**_EXPORTED, "_rightmost_end": "trees", "is_all_white": "forests",
+          "last_root": "forests", "shrink_last_entry": "permutations",
+          "tree_step_weights": "qcalculus", "forest_step_weights": "qcalculus"}
 _WALKED = set()  # code objects whose reachable engine names are all bound
 
 

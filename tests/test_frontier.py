@@ -15,7 +15,7 @@ import pytest
 
 from test_chain_pass import _type2_das, grown_forest
 
-from snake_atlas.bijections import (phi1_b_inv, phi1_d_inv,
+from snake_atlas.bijections import (_Leaves, phi1_b_inv, phi1_d_inv,
                                     phi1_inv, phi2_b_inv, phi2_d_inv, phi2_inv)
 from snake_atlas.errors import MembershipError
 from snake_atlas.forests import (BLACK, WHITE, _tree_to_forest,
@@ -272,3 +272,14 @@ def test_inverse_rejects_malformed_forests_as_the_reference_does(inv, ref):
     for f in MALFORMED:
         got = outcome(inv, f)
         assert got[0] != "ok" and got == outcome(ref, f), f
+
+
+def test_a_frontier_cycle_raises_instead_of_walking_forever():
+    """A walk stops after the frontier's 2n + 2 items, so a fault that links
+    an item to itself raises instead of hanging ``phi2``/``phi2_inv``."""
+    leaves = _Leaves(3)
+    leaves.nxt[0] = leaves.nxt[4] = 4  # head -> item 4 -> item 4 -> ...
+    with pytest.raises(RuntimeError, match="without reaching item 2"):
+        leaves.rank(2)
+    with pytest.raises(RuntimeError, match="without reaching the tail"):
+        leaves.singular(0)
