@@ -22,12 +22,12 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable
+from itertools import accumulate, combinations_with_replacement, repeat
 
 from .errors import enforce_ceiling
 from .forests import BLACK, DEFAULT_FOREST_CEILING, validate_forest
 from .polynomials import LaurentPoly, Value, _convolve, _set
-from .trees import (DEFAULT_TREE_CEILING, EMPTY, _keyed_trees, _splits, emp,
-                    validate_tree)
+from .trees import DEFAULT_TREE_CEILING, EMPTY, _keyed_trees, validate_tree
 
 
 class QPoly(Value):
@@ -288,13 +288,25 @@ def weight_forest(forest) -> int:
 
 # -- counted sums ----------------------------------------------------------
 
-def _region_weight(node, parent: int, after: tuple, n: int) -> int:
-    """The slots of ``node`` hung under ``parent``, counted against the
-    labels inside it and the labels ``after`` read after it."""
+def _profile(tree, k: int) -> tuple:
+    """``(internal, emp, cover)`` of a tree on 1..k hung under 0.  A slot
+    counts toward a label j when it is read before j and its parent is
+    <= j < its label (any j >= parent for an empty slot), so one scan
+    with a difference array gives the tree's own weight, and cover[g]:
+    the slots that count toward a label read after the tree with g of
+    the tree's labels below it."""
     slots = []
-    _slots(node, parent, slots)
-    slots.extend((j, None) for j in after)
-    return sum(_step_weights(slots, n))
+    _slots(tree, 0, slots)
+    diff = [0] * (k + 2)
+    internal = empties = 0
+    for x, parent in slots:
+        if x == EMPTY:
+            x, empties = k + 1, empties + 1
+        else:
+            internal += sum(diff[:x + 1])
+        diff[parent] += 1
+        diff[x] -= 1
+    return internal, empties, tuple(accumulate(diff[:k + 1]))
 
 
 def _sum_monomials(counts: Counter) -> BiPoly:
@@ -308,39 +320,37 @@ def _sum_monomials(counts: Counter) -> BiPoly:
 
 def _counted_sum(n: int, empty: tuple, root_weights: tuple, leaf: bool) -> BiPoly:
     """Sum of q^weight t^emp over the objects on 1..n built as the smallest
-    label (adding one of ``root_weights``), a tree hung under it on some of
+    label (adding one of ``root_weights``), a tree hung under it on k of
     the other labels, and an object of the same kind on the labels left;
     ``empty`` is the ``(weight, emp)`` of the object on no labels, and
     ``leaf`` adds the lone root.
 
-    A slot counts toward label j when it is read before j and its parent is
-    <= j < its label (any j >= parent for an empty slot), and the top slot
-    of a tree never counts toward the tree's own labels.  So an object
-    weighs its first tree's region, top slot included, counted against the
-    tree's labels and the labels left, plus the weight of the object on the
-    labels left.  That object's pairs are counted once per split, memoised
-    by label tuple within the call, and only the first tree is walked."""
-    trees = {}
-    memo = {(): Counter({empty: 1})}
-
-    def counts(labels):
-        found = memo.get(labels)
-        if found is None:
-            root, rest = labels[0], labels[1:]
-            found = memo[labels] = Counter({(0, 0): 1} if leaf and not rest else ())
-            for below, left in _splits(rest):
-                firsts = Counter()
-                for _, tree in _keyed_trees(below, trees):
-                    w, e = _region_weight(tree, root, left, n), emp(tree)
+    An object weighs its first tree's region (the tree's slots, top slot
+    included, counted against its own labels and the labels left) plus
+    the weight of the object on the labels left, as no slot of that object
+    is read before a label of the tree.  A weight only compares labels, so
+    the pairs over any m labels are the pairs over 1..m: ``memo[m]`` counts
+    them once per size.  A region is the tree's profile read at the labels
+    left (its internal weight plus cover[g] for each label left with g of
+    the tree's labels below it), and each multiset of those g is one
+    split.  So the first trees of all splits leaving a labels form one
+    pool, convolved once with ``memo[a]``."""
+    memo, profiles = [Counter({empty: 1})], []
+    for m in range(1, n + 1):
+        found = Counter({(0, 0): 1} if leaf and m == 1 else ())
+        profiles.append([_profile(tree, m - 1) for _, tree
+                         in _keyed_trees(tuple(range(1, m)), {})])
+        for k, shapes in enumerate(profiles):
+            pool = Counter()
+            for w, e, cover in shapes:
+                pool.update(zip(map(w.__add__, map(sum, combinations_with_replacement(
+                    cover, m - 1 - k))), repeat(e)))
+            for (w1, e1), c1 in pool.items():
+                for (w2, e2), c2 in memo[m - 1 - k].items():
                     for b in root_weights:
-                        firsts[w + b, e] += 1
-                rests = counts(left)
-                for (w1, e1), c1 in firsts.items():
-                    for (w2, e2), c2 in rests.items():
-                        found[w1 + w2, e1 + e2] += c1 * c2
-        return found
-
-    return _sum_monomials(counts(tuple(range(1, n + 1))))
+                        found[w1 + w2 + b, e1 + e2] += c1 * c2
+        memo.append(found)
+    return _sum_monomials(memo[n])
 
 
 def weighted_sum_trees(n: int, *, max_n=None) -> BiPoly:

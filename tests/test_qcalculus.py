@@ -1,6 +1,8 @@
 """Operators D and U, the q-polynomial families, and object weights."""
+import gc
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -10,8 +12,9 @@ from snake_atlas import fixtures as fx
 from snake_atlas.errors import LimitError
 from snake_atlas.forests import (BLACK, WHITE, emp_forest, enumerate_forests,
                                  validate_forest)
-from snake_atlas.qcalculus import (BiPoly, Operator, QPoly, forest_step_weights,
-                                   op_D, op_U, qpoly_P, qpoly_Q, qpoly_R,
+from snake_atlas.qcalculus import (BiPoly, Operator, QPoly, _profile, _slots,
+                                   _step_weights, forest_step_weights, op_D,
+                                   op_U, qpoly_P, qpoly_Q, qpoly_R,
                                    tree_step_weights, weight_forest,
                                    weight_tree, weighted_sum_forests,
                                    weighted_sum_trees)
@@ -123,7 +126,7 @@ def test_published_weight_sequences_are_attained():
                                         for f in enumerate_forests(6)}
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_weighted_sums_equal_operator_polynomials(n):
     assert weighted_sum_trees(n) == qpoly_P(n)
     assert weighted_sum_forests(n) == qpoly_R(n)
@@ -296,3 +299,51 @@ def test_weighted_sums_keep_their_size_errors(monkeypatch, call, error, message)
         call()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("call", [lambda: weighted_sum_trees(6),
+                                  lambda: weighted_sum_forests(6),
+                                  lambda: weighted_sum_forests(6, white_only=True)],
+                         ids=["trees", "forests", "white"])
+def test_counted_sums_leave_no_cyclic_garbage(call):
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def ref_region_weight(node, parent, after, n):
+    """The counted sums' region weight before profiles (frozen): the slots
+    of ``node`` hung under ``parent``, counted against the labels inside
+    it and the labels ``after`` read after it."""
+    slots = []
+    _slots(node, parent, slots)
+    slots.extend((j, None) for j in after)
+    return sum(_step_weights(slots, n))
+
+
+def _relabel(node, labels):
+    """The tree on 1..k with label i renamed ``labels[i - 1]``."""
+    if node == EMPTY:
+        return node
+    return (labels[node[0] - 1],) + tuple(_relabel(c, labels) for c in node[1:])
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_profiles_give_the_region_weight_of_every_split(k):
+    """A tree on k labels under label 1, with up to 3 later labels in every
+    position among its own, weighs its internal weight plus cover[g] for
+    each later label with g of the tree's labels below it."""
+    for tree in enumerate_trees(k) if k else [EMPTY]:
+        internal, empties, cover = _profile(tree, k)
+        assert empties == emp(tree)
+        for a in range(4):
+            n = k + a + 1
+            for below in combinations(range(2, n + 1), k):
+                after = [j for j in range(2, n + 1) if j not in below]
+                got = internal + sum(cover[sum(b < j for b in below)] for j in after)
+                assert got == ref_region_weight(_relabel(tree, below), 1, after, n), \
+                    (tree, below)
