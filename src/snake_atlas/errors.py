@@ -1,4 +1,4 @@
-"""Shared exception types and the enumeration ceiling check."""
+"""Shared exception types and the size gate (n >= 1, then the ceiling)."""
 from __future__ import annotations
 
 import os
@@ -30,8 +30,11 @@ class MembershipError(ValueError):
 
 
 def enforce_ceiling(what: str, n: int, max_n, default: int) -> None:
-    """Raise LimitError when n exceeds the ceiling: ``max_n`` when given,
-    else SNAKE_ATLAS_MAX_N when set, else ``default``."""
+    """Raise ValueError when n < 1, before any setting is read, then
+    LimitError when n exceeds the ceiling: ``max_n`` when given, else
+    SNAKE_ATLAS_MAX_N when set, else ``default``."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if max_n is not None:
         ceiling = int(max_n)
     else:

@@ -83,8 +83,6 @@ def enumerate_forests(n: int, *, white_only: bool = False,
     leaves.  A first component is a tree's left choice (its child is the
     left subtree, the labels it leaves are the right ones), black before
     white, each in the trees' order (``trees._left_choices``)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     enforce_ceiling("forest enumeration", n, max_n, DEFAULT_FOREST_CEILING)
     colors = (WHITE,) if white_only else (BLACK, WHITE)
     trees = {}

@@ -367,8 +367,6 @@ def enumerate_family(family: str, n: int, constraint=None, *, max_n=None):
     spec = _FAMILIES.get(family)
     if spec is None:
         raise ValueError(f"unknown family {family!r}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
     enforce_ceiling(f"family {family!r} enumeration", n, max_n, DEFAULT_PERM_CEILING)
     if constraint is not None:
         anchor, value = constraint

@@ -356,8 +356,6 @@ def _counted_sum(n: int, empty: tuple, root_weights: tuple, leaf: bool) -> BiPol
 def weighted_sum_trees(n: int, *, max_n=None) -> BiPoly:
     """Sum of q^weight t^emp over all size-n trees (= the operator P_n).
     A tree (r, L, R) is its root, L, and R on the labels L leaves."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     enforce_ceiling("tree enumeration", n, max_n, DEFAULT_TREE_CEILING)
     return _counted_sum(n, (0, 1), (0,), leaf=True)
 
@@ -366,7 +364,5 @@ def weighted_sum_forests(n: int, *, white_only: bool = False, max_n=None) -> BiP
     """Sum of q^weight t^emp over forests (all: R_n; white only: Q_n).
     A forest is its first root, that root's child, and a forest on the
     labels the child leaves; a black root adds one."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     enforce_ceiling("forest enumeration", n, max_n, DEFAULT_FOREST_CEILING)
     return _counted_sum(n, (0, 0), (0,) if white_only else (1, 0), leaf=False)

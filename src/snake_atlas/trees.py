@@ -239,8 +239,6 @@ def enumerate_trees(n: int, *, starred: bool | None = None,
                     rightmost: int | None = None, max_n=None) -> list:
     """All size-n trees in canonical (inorder-word) order, optionally
     filtered by class and rightmost label."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     enforce_ceiling("tree enumeration", n, max_n, DEFAULT_TREE_CEILING)
     memo = {}
     out = [(1, lt, rt) for _, lt, right in _left_choices(1, tuple(range(2, n + 1)), memo)

@@ -186,8 +186,6 @@ def hoffman_secant_power(n: int, a: int) -> LaurentPoly:
 
 def hoffman_triangle_identity(n: int) -> bool:
     """Do the signed polynomial row sums reproduce Q_n and P_n - t*Q_n?"""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     tri = arnold_poly(n)
     q = hoffman_Q(n)
     lhs_q = tri.positive_sum(n).shift(-1)

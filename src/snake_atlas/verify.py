@@ -15,8 +15,7 @@ Each check reads its maps, statistics and enumerators from this
 module's globals.  An engine name is bound here on its first use: by
 ``run_check``, for every name a check's code reads, or by a read from
 outside.  A name already here, a wrapper or a patch, is never rebound.
-A check's code counts as bound only once every name it reaches is, so
-threads that start the same check at once each find all of them bound.
+Each run of a check binds its names before the check starts.
 """
 from __future__ import annotations
 
@@ -36,7 +35,6 @@ from .polynomials import LaurentPoly, Value
 _OWNER = {**_EXPORTED, "_rightmost_end": "trees", "is_all_white": "forests",
           "last_root": "forests", "shrink_last_entry": "permutations",
           "tree_step_weights": "qcalculus", "forest_step_weights": "qcalculus"}
-_WALKED = set()  # code objects whose reachable engine names are all bound
 
 
 def __getattr__(name):
@@ -50,13 +48,11 @@ def __getattr__(name):
 
 def _bind_reads(code) -> None:
     """Bind every engine name ``code`` reads, following its nested
-    functions and lambdas and the helpers defined here that it calls.
-    The code objects walked are marked only after all their names are
-    bound, so a thread that finds a code marked can run it at once."""
+    functions and lambdas and the helpers defined here that it calls."""
     g, seen, todo = globals(), set(), [code]
     while todo:
         code = todo.pop()
-        if code in seen or code in _WALKED:
+        if code in seen:
             continue
         seen.add(code)
         for name in code.co_names:
@@ -65,7 +61,6 @@ def _bind_reads(code) -> None:
             elif getattr(g.get(name), "__globals__", None) is g:
                 todo.append(g[name].__code__)
         todo += [const for const in code.co_consts if isinstance(const, CodeType)]
-    _WALKED.update(seen)
 
 
 class CheckReport(Value):

@@ -19,7 +19,9 @@ from snake_atlas.permutations import (DEFAULT_PERM_CEILING, FAMILY_TAGS,
                                       is_gamma_snake, is_member, npk, nva,
                                       shrink_first_entry, shrink_last_entry,
                                       subword)
+from snake_atlas.qcalculus import weighted_sum_forests, weighted_sum_trees
 from snake_atlas.trees import enumerate_trees
+from snake_atlas.triangles import hoffman_triangle_identity
 
 
 def all_windows(n: int, *, max_n=None):
@@ -219,6 +221,28 @@ def test_non_integer_ceiling_setting_is_a_setting_error(monkeypatch, enumerate_)
     monkeypatch.setenv("SNAKE_ATLAS_MAX_N", "x")
     with pytest.raises(SettingError, match="SNAKE_ATLAS_MAX_N must be an integer, got 'x'"):
         enumerate_()
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("call", [
+    lambda n: enforce_ceiling("gate", n, None, 5),
+    lambda n: enforce_ceiling("gate", n, 5, 5),
+    lambda n: enumerate_trees(n),
+    lambda n: enumerate_trees(n, max_n=5),
+    lambda n: enumerate_forests(n),
+    lambda n: enumerate_family("rsi", n),
+    lambda n: enumerate_family("rsi", n, ("bogus", 1)),
+    lambda n: weighted_sum_trees(n),
+    lambda n: weighted_sum_forests(n, white_only=True),
+    lambda n: hoffman_triangle_identity(n),
+], ids=["gate", "gate-max_n", "trees", "trees-max_n", "forests", "family",
+        "family-anchor", "weighted-trees", "weighted-forests", "hoffman-identity"])
+def test_size_below_one_is_refused_before_any_setting_is_read(monkeypatch, call, n):
+    monkeypatch.setenv("SNAKE_ATLAS_MAX_N", "x")
+    with pytest.raises(ValueError) as caught:
+        call(n)
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == "n must be >= 1"
 
 
 def test_shrink_expand_round_trip():
