@@ -125,12 +125,6 @@ class _Leaves:
         raise RuntimeError(f"frontier walk passed {len(nxt)} items without reaching the tail")
 
 
-def _require_family(w, family: str, name: str):
-    if not _member(w, family):
-        k = _first_bad_level(w, _FAMILIES[family].levels[0], False)
-        raise MembershipError(f"{name}: input not in {family}", step=k)
-
-
 def _member_chain(w, family: str, message: str):
     """The restriction chain of a member of ``family`` (rsi or rsii, or
     its -b refinement), else a MembershipError with ``message`` (and, for
@@ -463,7 +457,8 @@ def _unslide(w, marks) -> tuple[int, ...]:
 def zeta1(window) -> tuple[int, ...]:
     """Slide entries along right-to-left minima and drop the entry 1."""
     w = check_window(window)
-    _require_family(w, "adi", "zeta1")
+    if not _member(w, "adi"):
+        raise MembershipError("zeta1: input not in adi", step=_first_bad_level(w, False, False))
     if len(w) < 2:
         raise MembershipError("zeta1 needs size >= 2")
     return _slide(w, _rl_min_positions([abs(x) for x in w]))
@@ -471,7 +466,7 @@ def zeta1(window) -> tuple[int, ...]:
 
 def zeta1_inv(window) -> tuple[int, ...]:
     w = check_window(window)
-    _require_family(w, "rsi", "zeta1_inv")
+    _member_chain(w, "rsi", "zeta1_inv: input not in rsi")
     return _unslide(w, _rl_min_positions([abs(x) for x in w]))
 
 

@@ -100,7 +100,7 @@ def enumerate_forests(n: int, *, white_only: bool = False,
 
     out = forests_over(tuple(range(1, n + 1)))
     if last is not None:
-        out = [f for f in out if f[-1][1] == last]
+        out = [f for f in out if last_root(f) == last]
     return out
 
 

@@ -33,6 +33,7 @@ membership, enumeration and the bijections' domain checks all read it.
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import itemgetter
 
 from .errors import enforce_ceiling
 
@@ -105,10 +106,7 @@ def augmenting_elements(window) -> tuple[int, ...]:
     k is augmenting when the entry +k appears and every entry after it
     has absolute value greater than k.
     """
-    return _augmenting(check_window(window))
-
-
-def _augmenting(w) -> tuple[int, ...]:
+    w = check_window(window)
     return tuple(w[p] for p in _augmenting_positions(w))
 
 
@@ -127,8 +125,8 @@ def gae(window) -> int:
 
 
 def _gae_or_zero(w) -> int:
-    aug = _augmenting(w)
-    return aug[-1] if aug else 0
+    aug = _augmenting_positions(w)
+    return w[aug[-1]] if aug else 0
 
 
 # -- building blocks for memberships ----------------------------------
@@ -239,12 +237,11 @@ _Family = namedtuple("_Family", "levels plus_one positive minima gamma d",
                      defaults=(False, False, None, False, None))
 
 
-def _last(u) -> int:
-    return u[-1]
+_last = itemgetter(-1)
 
 
 # The anchors of ``enumerate_family``'s constraint, each with the entry it reads.
-_ANCHORS = {"first": lambda w: w[0], "last": _last, "gae": _gae_or_zero}
+_ANCHORS = {"first": itemgetter(0), "last": _last, "gae": _gae_or_zero}
 
 
 _FAMILIES = {

@@ -238,19 +238,25 @@ def _slots(node, parent, out):
             return
 
 
-def _step_weights(slots, n: int) -> list[int]:
+def _step_weights(slots, n: int, cover=None) -> list[int]:
     """Empty leaves read before each label j <= n (index j) once every
     label > j is peeled.  Those leaves are exactly the slots read before
-    j whose parent is a label <= j and that hold EMPTY or a label > j, so
-    one scan counts them without rebuilding the object."""
+    j whose parent is a label <= j and that hold EMPTY or a label > j
+    (an empty slot reads as label n + 1), so one scan with a difference
+    array counts them without rebuilding the object.  A ``cover`` list,
+    when passed, is left holding cover[j]: the slots that count for j."""
     out = [0] * (n + 1)
-    cover = [0] * (n + 1)  # cover[j]: slots read so far that count for j
+    diff = [0] * (n + 2)
     for x, parent in slots:
-        if x != EMPTY:
-            out[x] = cover[x]
+        if x == EMPTY:
+            x = n + 1
+        else:
+            out[x] = sum(diff[:x + 1])
         if parent is not None:
-            for j in range(parent, n + 1 if x == EMPTY else x):
-                cover[j] += 1
+            diff[parent] += 1
+            diff[x] -= 1
+    if cover is not None:
+        cover.extend(accumulate(diff[:n + 1]))
     return out
 
 
@@ -289,24 +295,13 @@ def weight_forest(forest) -> int:
 # -- counted sums ----------------------------------------------------------
 
 def _profile(tree, k: int) -> tuple:
-    """``(internal, emp, cover)`` of a tree on 1..k hung under 0.  A slot
-    counts toward a label j when it is read before j and its parent is
-    <= j < its label (any j >= parent for an empty slot), so one scan
-    with a difference array gives the tree's own weight, and cover[g]:
-    the slots that count toward a label read after the tree with g of
-    the tree's labels below it."""
-    slots = []
+    """``(internal, emp, cover)`` of a tree on 1..k hung under 0: the
+    tree's own weight, its empty leaves (the slots past its k labels) and
+    cover[g], the slots that count toward a label read after the tree
+    with g of the tree's labels below it (``_step_weights``)."""
+    slots, cover = [], []
     _slots(tree, 0, slots)
-    diff = [0] * (k + 2)
-    internal = empties = 0
-    for x, parent in slots:
-        if x == EMPTY:
-            x, empties = k + 1, empties + 1
-        else:
-            internal += sum(diff[:x + 1])
-        diff[parent] += 1
-        diff[x] -= 1
-    return internal, empties, tuple(accumulate(diff[:k + 1]))
+    return sum(_step_weights(slots, k, cover)), len(slots) - k, tuple(cover)
 
 
 def _sum_monomials(counts: Counter) -> BiPoly:

@@ -20,6 +20,7 @@ entries of snakes.
 """
 from __future__ import annotations
 
+from itertools import combinations
 from math import inf
 from operator import itemgetter
 
@@ -198,21 +199,14 @@ def _shift_labels(tree, from_label: int, delta: int):
 
 # -- enumeration --------------------------------------------------------
 
-def _splits(rest: tuple):
-    """``(chosen, others)`` for every subset of ``rest``, in bit-mask
-    order: bit i of the mask puts ``rest[i]`` in ``chosen``."""
-    m = len(rest)
-    for mask in range(1 << m):
-        yield (tuple(rest[i] for i in range(m) if mask >> i & 1),
-               tuple(rest[i] for i in range(m) if not mask >> i & 1))
-
-
 def _left_choices(root: int, rest: tuple, memo: dict) -> list:
     """``(key(left), left, right labels)`` for each left subtree of a tree on
     ``(root,) + rest``, sorted by key, which sorts the trees as well: a left
     subtree fixes the right labels, and where one left key is a proper prefix of
     another, its tree has the root where the other has a larger inner label."""
-    return sorted([(lk, lt, right) for left, right in _splits(rest)
+    return sorted([(lk, lt, right) for size in range(len(rest) + 1)
+                   for left in combinations(rest, size)
+                   for right in [tuple(x for x in rest if x not in left)]
                    for lk, lt in _keyed_trees(left, memo)], key=itemgetter(0))
 
 

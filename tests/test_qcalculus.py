@@ -347,3 +347,27 @@ def test_profiles_give_the_region_weight_of_every_split(k):
                 got = internal + sum(cover[sum(b < j for b in below)] for j in after)
                 assert got == ref_region_weight(_relabel(tree, below), 1, after, n), \
                     (tree, below)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_step_weights_leave_the_cover_of_every_slot(n):
+    """The cover list left by the scan counts, for each j in 0..n, the
+    slots with a parent p <= j < their label (n + 1 for an empty slot),
+    for every tree hung under 0 and under None and every forest."""
+    cases = []
+    for tree in enumerate_trees(n):
+        for parent in (0, None):
+            slots = []
+            _slots(tree, parent, slots)
+            cases.append(slots)
+    for forest in enumerate_forests(n):
+        slots = []
+        for _, root, child in forest:
+            slots.append((root, None))
+            _slots(child, root, slots)
+        cases.append(slots)
+    for slots in cases:
+        cover = []
+        _step_weights(slots, n, cover)
+        assert cover == [sum(p is not None and p <= j < (n + 1 if x == EMPTY else x)
+                             for x, p in slots) for j in range(n + 1)], slots
