@@ -22,12 +22,13 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable
-from itertools import accumulate, combinations_with_replacement, repeat
+from itertools import accumulate, combinations, combinations_with_replacement
+from operator import add
 
 from .errors import enforce_ceiling
 from .forests import BLACK, DEFAULT_FOREST_CEILING, validate_forest
 from .polynomials import LaurentPoly, Value, _convolve, _set
-from .trees import DEFAULT_TREE_CEILING, EMPTY, _keyed_trees, validate_tree
+from .trees import DEFAULT_TREE_CEILING, EMPTY, validate_tree
 
 
 class QPoly(Value):
@@ -55,6 +56,8 @@ class QPoly(Value):
 
     @staticmethod
     def q_power(m: int) -> "QPoly":
+        if m < 0:
+            raise ValueError("q-power needs an exponent >= 0")
         return QPoly((0,) * m + (1,))
 
     @staticmethod
@@ -108,10 +111,12 @@ class BiPoly(Value):
 
     @staticmethod
     def t_power(m: int) -> "BiPoly":
-        return BiPoly((QPoly.zero(),) * m + (QPoly.one(),))
+        return BiPoly.monomial(0, m)
 
     @staticmethod
     def monomial(q_exp: int, t_exp: int) -> "BiPoly":
+        if t_exp < 0:
+            raise ValueError("t-power needs an exponent >= 0")
         return BiPoly((QPoly.zero(),) * t_exp + (QPoly.q_power(q_exp),))
 
     def coefficient(self, t_exp: int) -> QPoly:
@@ -298,10 +303,35 @@ def _profile(tree, k: int) -> tuple:
     """``(internal, emp, cover)`` of a tree on 1..k hung under 0: the
     tree's own weight, its empty leaves (the slots past its k labels) and
     cover[g], the slots that count toward a label read after the tree
-    with g of the tree's labels below it (``_step_weights``)."""
+    with g of the tree's labels below it (``_step_weights``).  This is the
+    per-tree definition that ``_profile_counts`` must reproduce."""
     slots, cover = [], []
     _slots(tree, 0, slots)
     return sum(_step_weights(slots, k, cover)), len(slots) - k, tuple(cover)
+
+
+def _profile_counts(k_max: int) -> list[Counter]:
+    """Entry k counts the profiles of the trees on 1..k (EMPTY for k = 0)
+    from smaller counts: a tree (1, A, B) puts A's labels at any of the
+    positions 2..k and B's at the rest.  With hA(g) the labels of A <= g,
+    it weighs wA + wB + cA[hA(y)] per label y of B, as A's slots are read
+    before B; its cover is 1 at g = 0 (only the root slot hangs under 0),
+    then cA[hA(g)] + cB[hB(g)]."""
+    counts = [Counter({(0, 1, (1,)): 1})]
+    for k in range(1, k_max + 1):
+        found = Counter({(0, 0, (1, 0)): 1} if k == 1 else ())
+        for a in range(k):
+            for in_a in combinations(range(2, k + 1), a):
+                h_a = [0, *accumulate((g in in_a for g in range(2, k + 1)), initial=0)]
+                bs = [(wb, eb, cb[0], [cb[g - 1 - h_a[g]] for g in range(2, k + 1)], nb)
+                      for (wb, eb, cb), nb in counts[k - 1 - a].items()]
+                for (wa, ea, ca), na in counts[a].items():
+                    w = wa + sum(ca[h_a[y]] for y in range(2, k + 1) if y not in in_a)
+                    top = [ca[h] for h in h_a[2:]]
+                    for wb, eb, cb0, low, nb in bs:
+                        found[w + wb, ea + eb, (1, ca[0] + cb0, *map(add, top, low))] += na * nb
+        counts.append(found)
+    return counts
 
 
 def _sum_monomials(counts: Counter) -> BiPoly:
@@ -329,17 +359,17 @@ def _counted_sum(n: int, empty: tuple, root_weights: tuple, leaf: bool) -> BiPol
     left (its internal weight plus cover[g] for each label left with g of
     the tree's labels below it), and each multiset of those g is one
     split.  So the first trees of all splits leaving a labels form one
-    pool, convolved once with ``memo[a]``."""
-    memo, profiles = [Counter({empty: 1})], []
+    pool, convolved once with ``memo[a]``; ``_profile_counts`` gives each
+    distinct profile with its number of trees, so no tree is built."""
+    memo, profiles = [Counter({empty: 1})], _profile_counts(n - 1)
     for m in range(1, n + 1):
         found = Counter({(0, 0): 1} if leaf and m == 1 else ())
-        profiles.append([_profile(tree, m - 1) for _, tree
-                         in _keyed_trees(tuple(range(1, m)), {})])
-        for k, shapes in enumerate(profiles):
+        for k, shapes in enumerate(profiles[:m]):
             pool = Counter()
-            for w, e, cover in shapes:
-                pool.update(zip(map(w.__add__, map(sum, combinations_with_replacement(
-                    cover, m - 1 - k))), repeat(e)))
+            for (w, e, cover), count in shapes.items():
+                for s, c in Counter(map(sum, combinations_with_replacement(
+                        cover, m - 1 - k))).items():
+                    pool[w + s, e] += c * count
             for (w1, e1), c1 in pool.items():
                 for (w2, e2), c2 in memo[m - 1 - k].items():
                     for b in root_weights:

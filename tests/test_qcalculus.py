@@ -9,12 +9,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from snake_atlas import fixtures as fx
+from snake_atlas import qcalculus, trees
 from snake_atlas.errors import LimitError
 from snake_atlas.forests import (BLACK, WHITE, emp_forest, enumerate_forests,
                                  validate_forest)
-from snake_atlas.qcalculus import (BiPoly, Operator, QPoly, _profile, _slots,
-                                   _step_weights, forest_step_weights, op_D,
-                                   op_U, qpoly_P, qpoly_Q, qpoly_R,
+from snake_atlas.qcalculus import (BiPoly, Operator, QPoly, _profile,
+                                   _profile_counts, _slots, _step_weights,
+                                   forest_step_weights, op_D, op_U, qpoly_P,
+                                   qpoly_Q, qpoly_R,
                                    tree_step_weights, weight_forest,
                                    weight_tree, weighted_sum_forests,
                                    weighted_sum_trees)
@@ -43,6 +45,18 @@ def test_q_integers():
     assert QPoly.q_integer(1) == QPoly.one()
     assert QPoly.q_integer(3) == QPoly((1, 1, 1))
     assert QPoly.q_integer(4)(1) == 4
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: QPoly.q_power(-2), "q-power needs an exponent >= 0"),
+    (lambda: BiPoly.t_power(-1), "t-power needs an exponent >= 0"),
+    (lambda: BiPoly.monomial(-1, 2), "q-power needs an exponent >= 0"),
+    (lambda: BiPoly.monomial(2, -1), "t-power needs an exponent >= 0"),
+], ids=["q_power", "t_power", "monomial-q", "monomial-t"])
+def test_negative_exponents_are_refused(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_operator_basics():
@@ -131,6 +145,24 @@ def test_weighted_sums_equal_operator_polynomials(n):
     assert weighted_sum_trees(n) == qpoly_P(n)
     assert weighted_sum_forests(n) == qpoly_R(n)
     assert weighted_sum_forests(n, white_only=True) == qpoly_Q(n)
+
+
+def test_weighted_sum_trees_at_the_tree_ceiling(monkeypatch):
+    monkeypatch.delenv("SNAKE_ATLAS_MAX_N", raising=False)
+    assert weighted_sum_trees(9) == qpoly_P(9)
+
+
+def test_weighted_sums_build_no_tree(monkeypatch):
+    """The sums read counted profiles: no tree is enumerated or walked."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a weighted sum built or walked a tree")
+    for module, name in [(trees, "_keyed_trees"), (trees, "_left_choices"),
+                         (qcalculus, "_slots"), (qcalculus, "_profile")]:
+        monkeypatch.setattr(module, name, refuse)
+    for n in range(1, 7):
+        assert weighted_sum_trees(n) == qpoly_P(n)
+        assert weighted_sum_forests(n) == qpoly_R(n)
+        assert weighted_sum_forests(n, white_only=True) == qpoly_Q(n)
 
 
 def test_weighted_sum_base_cases():
@@ -330,6 +362,14 @@ def _relabel(node, labels):
     if node == EMPTY:
         return node
     return (labels[node[0] - 1],) + tuple(_relabel(c, labels) for c in node[1:])
+
+
+def test_profile_counts_match_the_walked_profiles():
+    counts = _profile_counts(6)
+    assert len(counts) == 7
+    for k in range(7):
+        walked = Counter(_profile(t, k) for t in (enumerate_trees(k) if k else [EMPTY]))
+        assert counts[k] == walked, k
 
 
 @pytest.mark.parametrize("k", range(6))
